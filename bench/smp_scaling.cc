@@ -32,6 +32,7 @@
 // bench also reports the Amdahl projection derived from the measured
 // lock-free fraction p: projected speedup at N threads = 1 / ((1-p) + p/N).
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
@@ -44,6 +45,7 @@
 #include "src/exploits/exploits.h"
 #include "src/runtime/metapool_runtime.h"
 #include "src/smp/percpu.h"
+#include "src/smp/sync.h"
 
 namespace sva::bench {
 namespace {
@@ -175,24 +177,116 @@ void PrintScalingTable(const char* title, bool mutate) {
   std::printf("\n");
 }
 
+// Timed rounds per syscall phase. One round runs every swept worker count
+// once, in sweep order, on the same booted kernel; each count reports its
+// fastest round. A round is a few milliseconds per count, so on a shared
+// host one descheduled worker can stretch a single sample by 2x or more,
+// and the host threads actually available come and go over seconds.
+// Interleaving the counts exposes them to the same host conditions, rounds
+// continue until the phase has spanned kMinPhaseSeconds, and the fastest
+// round is the rate the code sustains when every worker runs.
+constexpr unsigned kMinSyscallRounds = 7;
+constexpr double kMinPhaseSeconds = 1.5;
+
+// Runs `worker(t)` on `threads` workers bound to virtual CPUs 0..threads-1
+// and returns the wall time in us from the moment every worker is running:
+// the workers spin at a start line first, so thread creation and waking
+// idle host CPUs stay off the clock.
+template <typename Worker>
+double TimeWorkersUs(BootedKernel& booted, unsigned threads,
+                     const Worker& worker) {
+  booted.k().svaos().ConfigureCpus(threads);
+  std::atomic<unsigned> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      smp::ScopedCpu bind(t);
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (!go.load(std::memory_order_acquire)) {
+        smp::CpuRelax();
+      }
+      worker(t);
+    });
+  }
+  while (ready.load(std::memory_order_acquire) < threads) {
+    smp::CpuRelax();
+  }
+  auto start = std::chrono::steady_clock::now();
+  go.store(true, std::memory_order_release);
+  for (std::thread& w : workers) {
+    w.join();
+  }
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// Runs `worker(t)` on `threads` workers of `booted` for each swept count,
+// round after round (see kMinSyscallRounds), and returns the fastest wall
+// time per count in us.
+template <typename Worker>
+std::vector<double> FastestRoundsUs(BootedKernel& booted,
+                                    const std::vector<unsigned>& counts,
+                                    const Worker& worker) {
+  std::vector<double> best_us(counts.size(), 0);
+  const auto start = std::chrono::steady_clock::now();
+  auto spanned = [&start] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+               .count() >= kMinPhaseSeconds;
+  };
+  for (unsigned round = 0; round < kMinSyscallRounds || !spanned();
+       ++round) {
+    for (size_t i = 0; i < counts.size(); ++i) {
+      double us = TimeWorkersUs(booted, counts[i], worker);
+      if (round == 0 || us < best_us[i]) {
+        best_us[i] = us;
+      }
+    }
+  }
+  return best_us;
+}
+
+// Prints one Workers/Syscalls/Speedup table and the JSON records for a
+// syscall phase that issues `calls_per_worker` calls on each worker.
+void PrintSyscallTable(const std::vector<unsigned>& counts,
+                       const std::vector<double>& best_us,
+                       double calls_per_worker, const char* metric) {
+  Table table({"Workers", "Syscalls/sec", "us/syscall", "Speedup"});
+  double base_rate = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    double us = best_us[i];
+    double total = calls_per_worker * counts[i];
+    double rate = total / us * 1e6;
+    if (base_rate == 0) {
+      base_rate = rate;
+    }
+    table.AddRow({std::to_string(counts[i]), Fmt("%.2fM", total / us),
+                  Fmt("%.3f", us / total), Fmt("%.2fx", rate / base_rate)});
+    JsonReport::Get().Add(metric, rate, "calls/s", "sva-safe", counts[i]);
+  }
+  table.Print();
+  std::printf("\n");
+}
+
 void KernelSyscallPhase() {
   std::printf(
       "Minikernel syscall driver (post-BKL-split: tasks+vfs mixed workload "
       "on per-subsystem leaf locks)\n\n");
-  Table table({"Workers", "Syscalls/sec", "us/syscall", "Speedup"});
-  double base_rate = 0;
-  for (unsigned threads : ThreadCounts()) {
-    BootedKernel booted(kernel::KernelMode::kSvaSafe);
-    // One regular file per worker, opened up front from the driver thread:
-    // the workers all run as pid 1, so the fds land in one shared fd table.
-    std::vector<uint64_t> fds;
-    for (unsigned t = 0; t < threads; ++t) {
-      fds.push_back(booted.OpenFile("/bench/worker" + std::to_string(t)));
-      booted.Call(kernel::Sys::kWrite, fds.back(), booted.user(4096), 1024);
-    }
-    const uint64_t calls_per_worker = g_calls_per_worker;
-    double us = TimeOnceUs([&] {
-      booted.RunWorkers(threads, [&](unsigned t) {
+  const std::vector<unsigned> counts = ThreadCounts();
+  BootedKernel booted(kernel::KernelMode::kSvaSafe);
+  // One regular file per worker, opened up front from the driver thread:
+  // the workers all run as pid 1, so the fds land in one shared fd table.
+  std::vector<uint64_t> fds;
+  for (unsigned t = 0; t < counts.back(); ++t) {
+    fds.push_back(booted.OpenFile("/bench/worker" + std::to_string(t)));
+    booted.Call(kernel::Sys::kWrite, fds.back(), booted.user(4096), 1024);
+  }
+  const uint64_t calls_per_worker = g_calls_per_worker;
+  std::vector<double> best_us =
+      FastestRoundsUs(booted, counts, [&](unsigned t) {
         // The mix: mostly tasks-route calls (getpid/brk — the fork/exit
         // family's lock path without the allocation noise), with a vfs
         // read+seek every 8th iteration so both split-off subsystems are
@@ -208,50 +302,37 @@ void KernelSyscallPhase() {
           }
         }
       });
-    });
-    uint64_t per_worker = 2 * calls_per_worker + 2 * (calls_per_worker / 8);
-    double total = static_cast<double>(per_worker) * threads;
-    double rate = total / us * 1e6;
-    if (base_rate == 0) {
-      base_rate = rate;
-    }
-    table.AddRow({std::to_string(threads), Fmt("%.2fM", total / us),
-                  Fmt("%.3f", us / total), Fmt("%.2fx", rate / base_rate)});
-    JsonReport::Get().Add("kernel syscalls/sec", rate, "calls/s", "sva-safe",
-                          threads);
-  }
-  table.Print();
-  std::printf("\n");
+  uint64_t per_worker = 2 * calls_per_worker + 2 * (calls_per_worker / 8);
+  PrintSyscallTable(counts, best_us, static_cast<double>(per_worker),
+                    "kernel syscalls/sec");
 }
 
 void ReadMostlyPhase() {
   std::printf(
       "Read-mostly phase: stat/getpid/fd-lookup mix on epoch-protected "
       "structures\n\n");
-  Table table({"Workers", "Syscalls/sec", "us/syscall", "Speedup"});
-  double base_rate = 0;
-  for (unsigned threads : ThreadCounts()) {
-    BootedKernel booted(kernel::KernelMode::kSvaSafe);
-    // Per-worker file with some data, plus a per-worker copy of its path
-    // staged in user memory for kStat. The loop body resolves fds through
-    // the epoch-published fd table, paths through the epoch-published
-    // directory index, and the stat argument through the userspace bounds
-    // check — no kernel-policy lock at any rank (docs/CONCURRENCY.md §5).
-    std::vector<uint64_t> fds;
-    std::vector<uint64_t> paths;
-    for (unsigned t = 0; t < threads; ++t) {
-      std::string path = "/bench/ro" + std::to_string(t);
-      fds.push_back(booted.OpenFile(path));
-      booted.Call(kernel::Sys::kWrite, fds.back(), booted.user(4096), 1024);
-      uint64_t path_uaddr = booted.user(16384 + t * 128);
-      Status s = booted.k().PokeUserString(path_uaddr, path);
-      assert(s.ok());
-      (void)s;
-      paths.push_back(path_uaddr);
-    }
-    const uint64_t calls_per_worker = g_calls_per_worker;
-    double us = TimeOnceUs([&] {
-      booted.RunWorkers(threads, [&](unsigned t) {
+  const std::vector<unsigned> counts = ThreadCounts();
+  BootedKernel booted(kernel::KernelMode::kSvaSafe);
+  // Per-worker file with some data, plus a per-worker copy of its path
+  // staged in user memory for kStat. The loop body resolves fds through
+  // the epoch-published fd table, paths through the epoch-published
+  // directory index, and the stat argument through the userspace bounds
+  // check — no kernel-policy lock at any rank (docs/CONCURRENCY.md §5).
+  std::vector<uint64_t> fds;
+  std::vector<uint64_t> paths;
+  for (unsigned t = 0; t < counts.back(); ++t) {
+    std::string path = "/bench/ro" + std::to_string(t);
+    fds.push_back(booted.OpenFile(path));
+    booted.Call(kernel::Sys::kWrite, fds.back(), booted.user(4096), 1024);
+    uint64_t path_uaddr = booted.user(16384 + t * 128);
+    Status s = booted.k().PokeUserString(path_uaddr, path);
+    assert(s.ok());
+    (void)s;
+    paths.push_back(path_uaddr);
+  }
+  const uint64_t calls_per_worker = g_calls_per_worker;
+  std::vector<double> best_us =
+      FastestRoundsUs(booted, counts, [&](unsigned t) {
         for (uint64_t i = 0; i < calls_per_worker; ++i) {
           booted.Call(kernel::Sys::kStat, paths[t]);
           booted.Call(kernel::Sys::kGetPid);
@@ -259,19 +340,8 @@ void ReadMostlyPhase() {
           booted.Call(kernel::Sys::kLseek, fds[t], 0, 1);
         }
       });
-    });
-    double total = 3.0 * static_cast<double>(calls_per_worker) * threads;
-    double rate = total / us * 1e6;
-    if (base_rate == 0) {
-      base_rate = rate;
-    }
-    table.AddRow({std::to_string(threads), Fmt("%.2fM", total / us),
-                  Fmt("%.3f", us / total), Fmt("%.2fx", rate / base_rate)});
-    JsonReport::Get().Add("readmostly syscalls/sec", rate, "calls/s",
-                          "sva-safe", threads);
-  }
-  table.Print();
-  std::printf("\n");
+  PrintSyscallTable(counts, best_us, 3.0 * calls_per_worker,
+                    "readmostly syscalls/sec");
 }
 
 // Runs the five-exploit suite once on the calling thread; returns the caught

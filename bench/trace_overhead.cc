@@ -4,14 +4,15 @@
 // one predictable branch on a relaxed atomic load — cheap enough to leave
 // compiled into every hot path. This bench provides the evidence, two ways:
 //
-//   1. Site-level: a tight loop over a disabled tracepoint, against an
-//      empty loop, giving ns per disabled site (and, for contrast, the ns
-//      per site with metrics and full ring recording enabled).
+//   1. Site-level: a tight loop over a span tracepoint with a histogram
+//      (the syscall/dispatch/irq shape), against an empty loop, giving ns
+//      per site disabled, with metrics on, and with full ring recording.
 //   2. End-to-end: the Table 7 syscall workload (getpid / open+close /
 //      pipe write+read on the SVA-Safe kernel) timed with tracing off,
-//      metrics-only, and full; plus the measured tracepoint density
-//      (events per syscall), which turns the site-level number into an
-//      estimated whole-workload disabled overhead.
+//      metrics-only, and full in interleaved blocks, reported as medians
+//      of per-block ratios; plus the measured tracepoint density (events
+//      per syscall), which turns the site-level number into an estimated
+//      whole-workload disabled overhead.
 //   3. Profiling: the same treatment for the sampling profiler's context
 //      hooks — ns per push/pop pair with a session live, hook density per
 //      workload, and the resulting estimated overhead for the kernel
@@ -40,15 +41,41 @@ namespace {
 
 using kernel::Sys;
 
+void SetTracerMode(uint32_t mode) {
+  if (mode == trace::kModeOff) {
+    trace::Tracer::Get().Disable();
+  } else {
+    trace::Tracer::Get().Enable(mode);
+  }
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Median over blocks of on[b] / off[b] - 1, as a percentage. Each block
+// pair ran back to back, so a host slowdown spanning both cancels.
+double MedianBlockOverheadPct(const std::vector<double>& on,
+                              const std::vector<double>& off) {
+  std::vector<double> ratios;
+  for (size_t b = 0; b < on.size(); ++b) {
+    ratios.push_back(off[b] > 0 ? on[b] / off[b] : 1.0);
+  }
+  return 100.0 * (Median(ratios) - 1.0);
+}
+
 // --- Site-level: cost of one tracepoint per tracer state ---------------------
 
 double SitePassUs(int iters) {
-  // The probe mirrors an instant tracepoint on a hot path. volatile sink
-  // keeps the loop itself from folding away.
+  // The probe is a span with a histogram, as on the syscall path: what
+  // metrics mode actually runs (two clock reads and one observation per
+  // site). volatile sink keeps the loop itself from folding away.
   volatile uint64_t sink = 0;
   return TimeOnceUs([&] {
     for (int i = 0; i < iters; ++i) {
-      trace::Emit(trace::EventId::kBoundsCheck, i, 0);
+      trace::Span span(trace::EventId::kSyscall, trace::HistId::kSyscallNs,
+                       static_cast<uint64_t>(i));
       sink = sink + 1;
     }
   });
@@ -67,7 +94,8 @@ double RunSiteBench(bool quick) {
   const int iters = quick ? 500000 : 2000000;
   const int reps = quick ? 5 : 9;
   std::printf(
-      "Phase 1: per-tracepoint cost (loop of %d sites, median of %d)\n\n",
+      "Phase 1: per-tracepoint cost (loop of %d sites, median of %d "
+      "paired differences)\n\n",
       iters, reps);
   struct State {
     const char* name;
@@ -78,43 +106,35 @@ double RunSiteBench(bool quick) {
       {"metrics", trace::kModeMetrics},
       {"full (ring)", trace::kModeFull},
   };
-  double baseline = 0;
-  {
-    std::vector<double> samples;
-    for (int r = 0; r < reps; ++r) {
-      samples.push_back(BaselinePassUs(iters));
-    }
-    std::sort(samples.begin(), samples.end());
-    baseline = samples[samples.size() / 2];
-  }
   Table table({"Tracer state", "ns/site", "vs empty loop"});
   double disabled_ns = 0;
   for (const State& s : states) {
-    if (s.mode == trace::kModeOff) {
-      trace::Tracer::Get().Disable();
-    } else {
-      trace::Tracer::Get().Enable(s.mode);
-    }
-    std::vector<double> samples;
+    SetTracerMode(s.mode);
+    // Each probe pass runs right after an empty-loop pass, so a host
+    // slowdown spanning the pair cancels in the per-pair difference.
+    std::vector<double> empty_us, probe_us, diff_us;
     for (int r = 0; r < reps; ++r) {
-      samples.push_back(SitePassUs(iters));
+      empty_us.push_back(BaselinePassUs(iters));
+      probe_us.push_back(SitePassUs(iters));
+      diff_us.push_back(probe_us.back() - empty_us.back());
     }
-    std::sort(samples.begin(), samples.end());
-    double us = samples[samples.size() / 2];
-    double ns_per_site = std::max(0.0, us - baseline) * 1000.0 / iters;
+    double ns_per_site = std::max(0.0, Median(diff_us)) * 1000.0 / iters;
     if (s.mode == trace::kModeOff) {
       disabled_ns = ns_per_site;
     }
     table.AddRow({s.name, Fmt("%.2f", ns_per_site),
-                  Fmt("%+.1f%%", OverheadPct(baseline, us))});
+                  Fmt("%+.1f%%", MedianBlockOverheadPct(probe_us, empty_us))});
     JsonReport::Get().Add(std::string("tracepoint ns (") + s.name + ")",
                           ns_per_site, "ns");
   }
   trace::Tracer::Get().Disable();
   trace::Metrics::Get().Reset();
   table.Print();
-  std::printf("\n(disabled site: %.2f ns — the single-branch target)\n\n",
-              disabled_ns);
+  // Paired with the empty loop, the disabled loop usually runs faster (a
+  // loop-shape effect, not a negative cost), so its cost clamps to 0.
+  std::printf("\n(disabled site: %.2f ns — the single-branch target%s)\n\n",
+              disabled_ns,
+              disabled_ns == 0 ? "; below this loop's resolution" : "");
   return disabled_ns;
 }
 
@@ -145,16 +165,17 @@ std::vector<Workload> BuildWorkloads() {
 }
 
 void RunEndToEnd(bool quick, double disabled_site_ns) {
-  const int reps = quick ? 5 : 30;
+  const size_t blocks = quick ? 15 : 61;
   std::printf(
       "Phase 2: Table 7 syscall workload on Linux-SVA-Safe, per tracer "
-      "state (median of %d)\n\n",
-      reps);
+      "state (%zu interleaved blocks; medians of per-block ratios)\n\n",
+      blocks);
+  constexpr size_t kStates = 3;
   struct State {
     const char* name;
     uint32_t mode;
   };
-  const State states[] = {
+  const State states[kStates] = {
       {"off", trace::kModeOff},
       {"metrics", trace::kModeMetrics},
       {"full", trace::kModeFull},
@@ -163,6 +184,11 @@ void RunEndToEnd(bool quick, double disabled_site_ns) {
                "events/op"});
   double total_site_ns = 0;
   double total_off_ns = 0;
+  // Per-block sums over the workloads: one op of each, the Table 7 mix.
+  std::vector<double> mix[kStates];
+  for (std::vector<double>& m : mix) {
+    m.assign(blocks, 0.0);
+  }
   for (Workload& w : BuildWorkloads()) {
     BootedKernel k(kernel::KernelMode::kSvaSafe);
     (void)k.k().PokeUserString(k.user(0), "/dev/null");
@@ -183,44 +209,53 @@ void RunEndToEnd(bool quick, double disabled_site_ns) {
         static_cast<double>(trace::Tracer::Get().events_recorded()) / 50.0;
     trace::Tracer::Get().Disable();
 
-    double us[3];
-    for (int s = 0; s < 3; ++s) {
-      if (states[s].mode == trace::kModeOff) {
-        trace::Tracer::Get().Disable();
-      } else {
-        trace::Tracer::Get().Enable(states[s].mode);
-      }
-      std::vector<double> samples;
-      for (int rep = 0; rep < reps; ++rep) {
+    // One block times every state once, in an order rotated per block so
+    // no state always runs first.
+    std::vector<double> us[kStates];
+    for (size_t b = 0; b < blocks; ++b) {
+      for (size_t i = 0; i < kStates; ++i) {
+        size_t s = (b + i) % kStates;
+        SetTracerMode(states[s].mode);
         double t = TimeOnceUs([&] {
-          for (int i = 0; i < w.iters; ++i) {
-            w.op(k);
-          }
-        });
-        samples.push_back(t / w.iters);
+                     for (int n = 0; n < w.iters; ++n) {
+                       w.op(k);
+                     }
+                   }) /
+                   w.iters;
+        us[s].push_back(t);
+        mix[s][b] += t;
       }
-      std::sort(samples.begin(), samples.end());
-      us[s] = samples[samples.size() / 2];
-      JsonReport::Get().Add(w.name + " latency", us[s], "us",
-                            std::string("trace-") + states[s].name);
     }
     trace::Tracer::Get().Disable();
+    for (size_t s = 0; s < kStates; ++s) {
+      JsonReport::Get().Add(w.name + " latency", Median(us[s]), "us",
+                            std::string("trace-") + states[s].name);
+    }
+    double metrics_pct = MedianBlockOverheadPct(us[1], us[0]);
+    double full_pct = MedianBlockOverheadPct(us[2], us[0]);
+    JsonReport::Get().Add("measured metrics overhead", metrics_pct, "%",
+                          w.name);
     // The disabled-overhead estimate: a disabled site's cost can't be
     // separated from run-to-run noise end to end (it is ~0.4 ns against
     // syscalls measured in hundreds), so bound it from the measured
     // tracepoint density times the phase-1 per-site cost — itself an
     // upper bound, since in situ the branch predictor sees each site far
     // less often than the microbench loop does.
+    double off_us = Median(us[0]);
     total_site_ns += events_per_op * disabled_site_ns;
-    total_off_ns += us[0] * 1000.0;
+    total_off_ns += off_us * 1000.0;
     JsonReport::Get().Add(w.name + " events/op", events_per_op, "events");
-    table.AddRow({w.name, Fmt("%.3f", us[0]),
-                  Fmt("%+.1f", OverheadPct(us[0], us[1])),
-                  Fmt("%+.1f", OverheadPct(us[0], us[2])),
-                  Fmt("%.1f", events_per_op)});
+    table.AddRow({w.name, Fmt("%.3f", off_us), Fmt("%+.1f", metrics_pct),
+                  Fmt("%+.1f", full_pct), Fmt("%.1f", events_per_op)});
   }
   trace::Metrics::Get().Reset();
   trace::Tracer::Get().Reset();
+  double mix_metrics_pct = MedianBlockOverheadPct(mix[1], mix[0]);
+  table.AddRow({"table7-mix", Fmt("%.3f", Median(mix[0])),
+                Fmt("%+.1f", mix_metrics_pct),
+                Fmt("%+.1f", MedianBlockOverheadPct(mix[2], mix[0])), "-"});
+  JsonReport::Get().Add("measured metrics overhead", mix_metrics_pct, "%",
+                        "table7-mix");
   table.Print();
   double estimated_pct =
       total_off_ns > 0 ? 100.0 * total_site_ns / total_off_ns : 0;
@@ -262,9 +297,7 @@ double MedianPassNs(int reps, int iters, double baseline_us,
   for (int r = 0; r < reps; ++r) {
     samples.push_back(pass(iters));
   }
-  std::sort(samples.begin(), samples.end());
-  double us = samples[samples.size() / 2];
-  return std::max(0.0, us - baseline_us) * 1000.0 / iters;
+  return std::max(0.0, Median(samples) - baseline_us) * 1000.0 / iters;
 }
 
 // The table7 bytecode workload through the full pipeline (safety compiler
@@ -330,15 +363,11 @@ void RunProfilingPhase(bool quick) {
       "median of %d)\n\n",
       site_iters, reps);
 
-  double baseline;
-  {
-    std::vector<double> samples;
-    for (int r = 0; r < reps; ++r) {
-      samples.push_back(BaselinePassUs(site_iters));
-    }
-    std::sort(samples.begin(), samples.end());
-    baseline = samples[samples.size() / 2];
+  std::vector<double> baseline_samples;
+  for (int r = 0; r < reps; ++r) {
+    baseline_samples.push_back(BaselinePassUs(site_iters));
   }
+  double baseline = Median(baseline_samples);
   double pair_off_ns =
       MedianPassNs(reps, site_iters, baseline, ProfPairPassUs);
 

@@ -316,11 +316,26 @@ Result<uint64_t> Kernel::Syscall(Sys number, uint64_t a0, uint64_t a1,
   return r;
 }
 
+KernelStats Kernel::stats() const {
+  KernelStats total;
+  stats_shards_.ForEach([&total](const KernelStats& shard) {
+    auto load = [](const uint64_t& counter) {
+      return std::atomic_ref<const uint64_t>(counter).load(
+          std::memory_order_relaxed);
+    };
+    total.syscalls += load(shard.syscalls);
+    total.context_switches += load(shard.context_switches);
+    total.forks += load(shard.forks);
+    total.execs += load(shard.execs);
+    total.signals_delivered += load(shard.signals_delivered);
+    total.bytes_copied_user += load(shard.bytes_copied_user);
+  });
+  return total;
+}
+
 Result<uint64_t> Kernel::Dispatch(Sys number,
                                   const std::array<uint64_t, 6>& args) {
-  // Relaxed atomic: the net fast path dispatches concurrently.
-  std::atomic_ref<uint64_t>(stats_.syscalls)
-      .fetch_add(1, std::memory_order_relaxed);
+  Bump(StatsShard().syscalls);
   // Privilege transitions act on the calling thread's virtual CPU (bound to
   // the boot CPU in single-CPU runs, so single-threaded behaviour is
   // unchanged).
@@ -502,8 +517,7 @@ void Kernel::DeliverPendingSignals(Task& task,
       if (t != nullptr) {
         std::atomic_ref<uint64_t>(t->signals_delivered)
             .fetch_add(1, std::memory_order_relaxed);
-        std::atomic_ref<uint64_t>(stats_.signals_delivered)
-            .fetch_add(1, std::memory_order_relaxed);
+        Bump(StatsShard().signals_delivered);
         (void)signum;
       }
     };
@@ -560,8 +574,7 @@ Status Kernel::ReadUserPath(Task& task, uint64_t path_uaddr,
 Status Kernel::CopyFromUser(Task& task, uint64_t kaddr, uint64_t uaddr,
                             uint64_t len) {
   SVA_RETURN_IF_ERROR(CheckUserRange(task, uaddr, len));
-  std::atomic_ref<uint64_t>(stats_.bytes_copied_user)
-      .fetch_add(len, std::memory_order_relaxed);
+  Bump(StatsShard().bytes_copied_user, len);
   uint64_t copied = 0;
   while (copied < len) {
     SVA_ASSIGN_OR_RETURN(
@@ -577,8 +590,7 @@ Status Kernel::CopyFromUser(Task& task, uint64_t kaddr, uint64_t uaddr,
 Status Kernel::CopyToUser(Task& task, uint64_t uaddr, uint64_t kaddr,
                           uint64_t len) {
   SVA_RETURN_IF_ERROR(CheckUserRange(task, uaddr, len));
-  std::atomic_ref<uint64_t>(stats_.bytes_copied_user)
-      .fetch_add(len, std::memory_order_relaxed);
+  Bump(StatsShard().bytes_copied_user, len);
   uint64_t copied = 0;
   while (copied < len) {
     SVA_ASSIGN_OR_RETURN(
@@ -594,8 +606,7 @@ Status Kernel::CopyToUser(Task& task, uint64_t uaddr, uint64_t kaddr,
 Status Kernel::CopyBlockToUser(Task& task, uint64_t uaddr, uint64_t kaddr,
                                uint64_t len) {
   // Copy with the range checks already hoisted by the caller.
-  std::atomic_ref<uint64_t>(stats_.bytes_copied_user)
-      .fetch_add(len, std::memory_order_relaxed);
+  Bump(StatsShard().bytes_copied_user, len);
   uint64_t copied = 0;
   while (copied < len) {
     SVA_ASSIGN_OR_RETURN(
@@ -610,8 +621,7 @@ Status Kernel::CopyBlockToUser(Task& task, uint64_t uaddr, uint64_t kaddr,
 
 Status Kernel::CopyBlockFromUser(Task& task, uint64_t kaddr, uint64_t uaddr,
                                  uint64_t len) {
-  std::atomic_ref<uint64_t>(stats_.bytes_copied_user)
-      .fetch_add(len, std::memory_order_relaxed);
+  Bump(StatsShard().bytes_copied_user, len);
   uint64_t copied = 0;
   while (copied < len) {
     SVA_ASSIGN_OR_RETURN(
@@ -823,8 +833,7 @@ Status Kernel::Yield() {
   if (next.pid == current_pid_) {
     return OkStatus();
   }
-  std::atomic_ref<uint64_t>(stats_.context_switches)
-      .fetch_add(1, std::memory_order_relaxed);
+  Bump(StatsShard().context_switches);
   if (config_.mode == KernelMode::kNative) {
     // Native context switch: direct struct copies.
     current->cpu_state.control = machine_.cpu().control();
@@ -1107,14 +1116,10 @@ Result<uint64_t> Kernel::SysGetTimeOfDay(uint64_t uaddr) {
 Result<uint64_t> Kernel::SysGetRusage(uint64_t uaddr) {
   Task& task = *current_task();
   SVA_ASSIGN_OR_RETURN(uint64_t scratch, allocators_->Kmalloc(64));
-  SVA_RETURN_IF_ERROR(machine_.memory().Write(
-      scratch, 8,
-      std::atomic_ref<uint64_t>(stats_.syscalls)
-          .load(std::memory_order_relaxed)));
-  SVA_RETURN_IF_ERROR(machine_.memory().Write(
-      scratch + 8, 8,
-      std::atomic_ref<uint64_t>(stats_.context_switches)
-          .load(std::memory_order_relaxed)));
+  const KernelStats totals = stats();
+  SVA_RETURN_IF_ERROR(machine_.memory().Write(scratch, 8, totals.syscalls));
+  SVA_RETURN_IF_ERROR(
+      machine_.memory().Write(scratch + 8, 8, totals.context_switches));
   Status copy = CopyToUser(task, uaddr, scratch, 64);
   SVA_RETURN_IF_ERROR(allocators_->Kfree(scratch));
   SVA_RETURN_IF_ERROR(copy);
@@ -1570,6 +1575,11 @@ Result<uint64_t> Kernel::SysBrk(uint64_t delta) {
   // concurrently, and a failed growth must not move it at all.
   std::atomic_ref<uint64_t> brk(task.brk);
   uint64_t old_brk = brk.load(std::memory_order_relaxed);
+  if (delta == 0) {
+    // The brk(0) query writes nothing: a CAS here would bounce the task's
+    // cache line between every CPU running the process.
+    return old_brk;
+  }
   while (true) {
     uint64_t new_brk = old_brk + delta;
     if (new_brk < as.base()) {
@@ -1621,8 +1631,7 @@ Result<uint64_t> Kernel::SysFork() {
   Task& parent = *current_task();
   trace::Span span(trace::EventId::kFork, trace::HistId::kForkNs,
                    static_cast<uint64_t>(parent.pid));
-  std::atomic_ref<uint64_t>(stats_.forks)
-      .fetch_add(1, std::memory_order_relaxed);
+  Bump(StatsShard().forks);
   SVA_ASSIGN_OR_RETURN(int child_pid, CreateTask(parent.pid));
   Task& child = *FindTask(child_pid);
   // Copy the fd table (bumping refs) and signal dispositions. A parent that
@@ -1688,8 +1697,7 @@ Result<uint64_t> Kernel::SysExecve(uint64_t path_uaddr) {
   Task& task = *current_task();
   trace::Span span(trace::EventId::kExec, trace::HistId::kExecNs,
                    static_cast<uint64_t>(task.pid));
-  std::atomic_ref<uint64_t>(stats_.execs)
-      .fetch_add(1, std::memory_order_relaxed);
+  Bump(StatsShard().execs);
   // Reset the image: drop every mapping (frames go back to the pool),
   // rewind the brk frontier, close nothing (CLOEXEC is out of scope). The
   // fresh zero-fill faults model image loading.

@@ -29,6 +29,7 @@
 #include "src/runtime/metapool_runtime.h"
 #include "src/smp/epoch.h"
 #include "src/smp/lock_order.h"
+#include "src/smp/percpu.h"
 #include "src/smp/sync.h"
 #include "src/support/status.h"
 #include "src/svaos/svaos.h"
@@ -393,7 +394,8 @@ class Kernel {
   // The virtual-memory subsystem (demand paging, COW fork, TLB shootdown).
   mm::VmManager& vm() { return vm_; }
   mm::FrameAllocator& frames() { return frames_; }
-  const KernelStats& stats() const { return stats_; }
+  // Sums the per-CPU counter shards (exact once the workers have quiesced).
+  KernelStats stats() const;
   svaos::SvaOS& svaos() { return svaos_; }
   runtime::MetaPoolRuntime& pools() { return pools_; }
   KernelAllocators& allocators() { return *allocators_; }
@@ -672,7 +674,17 @@ class Kernel {
   std::atomic<int> current_pid_{0};  // Read off-lock by the net fast path.
   int next_pid_ = 1;
   int next_ino_ = 1;
-  KernelStats stats_;
+  // Kernel counters, one shard per CPU: every syscall bumps one, so a
+  // single shared copy would put a cross-CPU cache-line transfer on every
+  // syscall (and evict booted_ and current_pid_ beside it, which every
+  // syscall reads). Bumped through atomic_ref so oversubscribed threads
+  // sharing a CPU id stay race-free.
+  smp::PerCpu<KernelStats> stats_shards_;
+  KernelStats& StatsShard() { return stats_shards_.Current(); }
+  static void Bump(uint64_t& counter, uint64_t delta = 1) {
+    std::atomic_ref<uint64_t>(counter).fetch_add(delta,
+                                                 std::memory_order_relaxed);
+  }
   bool booted_ = false;
 };
 

@@ -58,7 +58,7 @@ std::string MetricsServer::RenderText() const {
   std::vector<trace::CounterSample> counters;
   counters.reserve(64);
 
-  const KernelStats& ks = kernel_.stats();
+  const KernelStats ks = kernel_.stats();
   Add(counters, "sva_kernel_syscalls_total", ks.syscalls);
   Add(counters, "sva_kernel_context_switches_total", ks.context_switches);
   Add(counters, "sva_kernel_forks_total", ks.forks);
@@ -210,11 +210,10 @@ std::string MetricsServer::RenderText() const {
   trace::Tracer& tracer = trace::Tracer::Get();
   Add(counters, "sva_trace_events_recorded_total",
       tracer.events_recorded());
+  // Ring-loss and drain accounting: lost = overwritten/torn slots, drained =
+  // consumed by the ContinuousDrainer, backlog = drained but not yet
+  // exported.
   Add(counters, "sva_trace_events_lost_total", tracer.events_lost());
-  // Ring-loss and drain accounting (previously only visible in Chrome-trace
-  // metadata): lost = overwritten/torn slots, drained = consumed by the
-  // ContinuousDrainer, backlog = drained but not yet exported.
-  Add(counters, "sva_trace_lost_events_total", tracer.events_lost());
   const trace::DrainerStats& ds = trace::DrainerStats::Get();
   Add(counters, "sva_trace_drained_events_total",
       ds.drained_events.load(std::memory_order_relaxed));

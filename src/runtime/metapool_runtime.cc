@@ -503,8 +503,8 @@ Status MetaPoolRuntime::RegisterUserspace(MetaPool& pool, uint64_t user_base,
 
 Status MetaPoolRuntime::BoundsCheck(MetaPool& pool, uint64_t src,
                                     uint64_t derived) {
-  trace::Span span(trace::EventId::kBoundsCheck,
-                   trace::HistId::kBoundsCheckNs, src, derived);
+  trace::Span span(trace::EventId::kBoundsCheck, trace::HistId::kNone, src,
+                   derived);
   Bump(Shard().bounds_performed);
   std::optional<ObjectRange> obj = pool.Lookup(src);
   if (obj.has_value()) {
@@ -553,8 +553,8 @@ std::optional<ObjectRange> MetaPoolRuntime::GetBounds(MetaPool& pool,
 }
 
 Status MetaPoolRuntime::LoadStoreCheck(MetaPool& pool, uint64_t addr) {
-  trace::Span span(trace::EventId::kLoadStoreCheck,
-                   trace::HistId::kLoadStoreCheckNs, addr);
+  trace::Span span(trace::EventId::kLoadStoreCheck, trace::HistId::kNone,
+                   addr);
   if (!pool.complete()) {
     // No load-store checks are possible on incomplete partitions (I2).
     Bump(Shard().reduced_checks);
@@ -578,8 +578,8 @@ uint64_t MetaPoolRuntime::RegisterTargetSet(std::vector<uint64_t> targets) {
 }
 
 Status MetaPoolRuntime::IndirectCallCheck(uint64_t fp, uint64_t set_id) {
-  trace::Span span(trace::EventId::kIndirectCallCheck,
-                   trace::HistId::kIndirectCheckNs, fp, set_id);
+  trace::Span span(trace::EventId::kIndirectCallCheck, trace::HistId::kNone,
+                   fp, set_id);
   Bump(Shard().indirect_performed);
   {
     std::lock_guard<smp::SpinLock> guard(targets_lock_);

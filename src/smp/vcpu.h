@@ -90,6 +90,8 @@ struct SvaOsStats {
   SvaOsStats& operator+=(const SvaOsStats& other);
 };
 
+static_assert(kMaxCpus <= 16, "context ids carry the CPU id in 4 bits");
+
 class VirtualCpu {
  public:
   // The kernel-stack region holding live interrupt contexts: a fixed slab,
@@ -117,6 +119,9 @@ class VirtualCpu {
   // Pushes a fresh context (wrapping at the slab depth, matching the
   // pre-SMP behaviour for pathological nesting).
   InterruptContext* PushContext(uint64_t id);
+  // A context id unique across all CPUs, drawn without a shared counter:
+  // this CPU's own sequence number with the CPU id in the low 4 bits.
+  uint64_t NextContextId() { return (++context_seq_ << 4) | id_; }
   // Pops `icp` if it is the innermost context.
   void PopContext(InterruptContext* icp);
   size_t icontext_depth() const { return icontext_depth_; }
@@ -133,6 +138,7 @@ class VirtualCpu {
   SvaOsStats stats_;
   std::array<InterruptContext, kMaxNestedContexts> icontext_slab_;
   size_t icontext_depth_ = 0;
+  uint64_t context_seq_ = 0;
   SavedIntegerState integer_scratch_;
   SavedFpState fp_scratch_;
 };

@@ -110,8 +110,7 @@ InterruptContext* SvaOS::EnterKernel() {
   trace::Emit(trace::EventId::kKernelEntry);
   smp::VirtualCpu& vcpu = vmp_.Current();
   ++vcpu.stats().icontext_created;
-  InterruptContext* icp = vcpu.PushContext(
-      next_icontext_id_.fetch_add(1, std::memory_order_relaxed));
+  InterruptContext* icp = vcpu.PushContext(vcpu.NextContextId());
   hw::Cpu& cpu = vcpu.cpu();
   icp->interrupted_ = cpu.control();
   icp->from_privileged_ = cpu.control().privilege == hw::Privilege::kKernel;

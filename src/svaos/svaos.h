@@ -17,7 +17,6 @@
 #define SVA_SRC_SVAOS_SVAOS_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -154,8 +153,6 @@ class SvaOS {
   smp::VirtualMultiprocessor vmp_;
   std::map<uint64_t, SyscallHandler> syscalls_;
   std::array<InterruptHandler, hw::kNumVectors> interrupts_;
-  // Context ids are global (they name contexts across all CPUs).
-  std::atomic<uint64_t> next_icontext_id_{1};
 };
 
 }  // namespace sva::svaos

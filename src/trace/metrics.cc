@@ -14,9 +14,6 @@ const char* HistName(HistId id) {
     case HistId::kTasksWaitNs: return "sva_tasks_lock_wait_ns";
     case HistId::kSvaosDispatchNs: return "sva_svaos_dispatch_ns";
     case HistId::kIrqNs: return "sva_irq_ns";
-    case HistId::kBoundsCheckNs: return "sva_boundscheck_ns";
-    case HistId::kLoadStoreCheckNs: return "sva_lscheck_ns";
-    case HistId::kIndirectCheckNs: return "sva_indirect_check_ns";
     case HistId::kNicTxNs: return "sva_nic_tx_ns";
     case HistId::kNicRxIrqNs: return "sva_nic_rx_irq_ns";
     case HistId::kEvqWaitNs: return "sva_evq_wait_ns";

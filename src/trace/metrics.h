@@ -1,6 +1,7 @@
 // The metrics registry: fixed-slot log2-bucket latency histograms, sharded
 // per CPU so hot-path observations are relaxed increments on the caller's
-// own cache lines. Snapshots fold the shards, the same read-side pattern as
+// own cache lines: two per observation (bucket and sum; the count is the
+// bucket total). Snapshots fold the shards, the same read-side pattern as
 // MetaPoolRuntime::stats().
 //
 // Bucketing: an observation v lands in bucket bit_width(v), so bucket 0 is
@@ -30,9 +31,6 @@ enum class HistId : uint8_t {
   kTasksWaitNs,       // tasks_lock_ acquisition wait.
   kSvaosDispatchNs,   // SVA-OS trap dispatch.
   kIrqNs,             // Interrupt delivery, entry to iret.
-  kBoundsCheckNs,     // boundscheck
-  kLoadStoreCheckNs,  // lscheck
-  kIndirectCheckNs,   // indirect-call check
   kNicTxNs,           // TransmitFrame (frame + DMA kick).
   kNicRxIrqNs,        // Rx interrupt handler (harvest + deliver).
   kEvqWaitNs,         // evq_wait, entry to return (block time included).
@@ -64,25 +62,25 @@ class Histogram {
     Shard& shard = shards_.Current();
     shard.buckets[std::bit_width(value)].fetch_add(
         1, std::memory_order_relaxed);
-    shard.count.fetch_add(1, std::memory_order_relaxed);
     shard.sum.fetch_add(value, std::memory_order_relaxed);
   }
 
   HistogramSnapshot Snapshot() const {
     HistogramSnapshot snap;
     shards_.ForEach([&snap](const Shard& shard) {
-      snap.count += shard.count.load(std::memory_order_relaxed);
       snap.sum += shard.sum.load(std::memory_order_relaxed);
       for (size_t b = 0; b < kBuckets; ++b) {
         snap.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
       }
     });
+    for (uint64_t n : snap.buckets) {
+      snap.count += n;
+    }
     return snap;
   }
 
   void Reset() {
     shards_.ForEachMutable([](Shard& shard) {
-      shard.count.store(0, std::memory_order_relaxed);
       shard.sum.store(0, std::memory_order_relaxed);
       for (auto& bucket : shard.buckets) {
         bucket.store(0, std::memory_order_relaxed);
@@ -93,7 +91,6 @@ class Histogram {
  private:
   struct Shard {
     std::array<std::atomic<uint64_t>, kBuckets> buckets{};
-    std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum{0};
   };
   smp::PerCpu<Shard> shards_;

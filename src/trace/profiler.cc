@@ -98,8 +98,14 @@ bool Profiler::Start(const Options& opts) {
   }
   rings_.ForEachMutable(
       [](EventRing& ring) { ring.Reset(kProfRingCapacity); });
+  sampler_ticked_.store(false, std::memory_order_relaxed);
   sampler_run_.store(true, std::memory_order_relaxed);
   sampler_ = std::thread([this] { SamplerMain(); });
+  // Wait for the first tick, so a session shorter than the sampler thread's
+  // start-up latency (milliseconds on a loaded host) still takes a sample.
+  while (!sampler_ticked_.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
   // Open the producer gate only once the sampler exists, so every push has
   // a chance of being observed.
   internal::g_prof_sessions.store(1, std::memory_order_release);
@@ -137,6 +143,7 @@ void Profiler::SamplerMain() {
     } else {
       SampleNow();
     }
+    sampler_ticked_.store(true, std::memory_order_release);
     std::this_thread::sleep_until(next);
     next += period;
     auto now = std::chrono::steady_clock::now();

@@ -197,6 +197,7 @@ class Profiler {
   Options opts_;
   std::thread sampler_;
   std::atomic<bool> sampler_run_{false};
+  std::atomic<bool> sampler_ticked_{false};  // Set after each sampler tick.
 
   // Sample store + stack table, under store_lock_ (leaf; the sampler takes
   // it briefly after recording, consumers take it to read).

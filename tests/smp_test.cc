@@ -4,6 +4,7 @@
 // racing writer churn — see docs/CONCURRENCY.md §5).
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,6 +144,19 @@ TEST_F(VcpuTest, InterruptContextStackNests) {
   vcpu.PopContext(inner);
   vcpu.PopContext(outer);
   EXPECT_EQ(vcpu.icontext_depth(), 0u);
+}
+
+TEST_F(VcpuTest, ContextIdsAreUniqueAcrossCpus) {
+  // Each CPU draws ids from its own sequence (no shared counter on the trap
+  // path); the CPU id in the low bits keeps them distinct machine-wide.
+  VirtualCpu cpu1(1);
+  VirtualCpu cpu2(2);
+  std::set<uint64_t> ids;
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(ids.insert(cpu1.NextContextId()).second);
+    EXPECT_TRUE(ids.insert(cpu2.NextContextId()).second);
+  }
+  EXPECT_EQ(ids.size(), 200u);
 }
 
 // Forces the lock-order checker on (or off) for one test and restores the

@@ -1,9 +1,13 @@
 // Tests for the tracing & metrics subsystem: ring wrap/overwrite semantics,
 // histogram bucket edges, the disabled-tracepoint no-op guarantee, the
-// multi-producer seqlock protocol under real threads (tsan preset), and the
-// /metrics endpoint served end-to-end over the loopback stream path.
+// TSC-backed clock, ring-only check spans and zero-clock uncontended lock
+// waits, the multi-producer seqlock protocol under real threads (tsan
+// preset), and the /metrics endpoint served end-to-end over the loopback
+// stream path.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -14,6 +18,7 @@
 #include "src/kernel/kernel.h"
 #include "src/kernel/metrics_server.h"
 #include "src/net/client.h"
+#include "src/runtime/metapool_runtime.h"
 #include "src/smp/percpu.h"
 #include "src/trace/drainer.h"
 #include "src/trace/metrics.h"
@@ -229,6 +234,173 @@ TEST_F(TraceTest, SpanFeedsRingAndHistogramInFullMode) {
   EXPECT_EQ(Metrics::Get().hist(HistId::kSyscallNs).Snapshot().count, 1u);
 }
 
+// --- The clock ----------------------------------------------------------------
+
+TEST_F(TraceTest, NowNsIsMonotonicAcrossThreads) {
+  // A token passes round 4 threads; each reads NowNs() after taking the
+  // token and publishes it with the hand-off, so consecutive readings are
+  // ordered by happens-before even though they come from different CPUs.
+  constexpr unsigned kThreads = 4;
+  constexpr uint64_t kRounds = 2000;
+  std::atomic<uint64_t> turn{0};
+  std::atomic<uint64_t> last{0};
+  std::atomic<uint64_t> backwards{0};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t mine = 0;
+      for (uint64_t n = t; n < kRounds * kThreads; n += kThreads) {
+        while (turn.load(std::memory_order_acquire) != n) {
+          std::this_thread::yield();
+        }
+        uint64_t now = NowNs();
+        if (now < last.load(std::memory_order_relaxed) || now < mine) {
+          backwards.fetch_add(1, std::memory_order_relaxed);
+        }
+        mine = now;
+        last.store(now, std::memory_order_relaxed);
+        turn.store(n + 1, std::memory_order_release);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(backwards.load(), 0u);
+}
+
+// A NowNs() reading paired with the steady_clock time it was taken at: the
+// tightest steady_clock bracket of a few tries, so a preemption next to the
+// reading cannot skew a comparison of the two clocks.
+struct Stamp {
+  uint64_t now = 0;
+  uint64_t steady = 0;
+};
+
+Stamp TightStamp() {
+  Stamp best;
+  uint64_t best_gap = UINT64_MAX;
+  for (int i = 0; i < 100; ++i) {
+    uint64_t before = internal::SteadyNowNs();
+    uint64_t now = NowNs();
+    uint64_t after = internal::SteadyNowNs();
+    if (after - before < best_gap) {
+      best_gap = after - before;
+      best = {now, before + (after - before) / 2};
+    }
+  }
+  return best;
+}
+
+TEST_F(TraceTest, NowNsTracksSteadyClockOverASleep) {
+  Stamp start = TightStamp();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Stamp end = TightStamp();
+  double steady = static_cast<double>(end.steady - start.steady);
+  double ours = static_cast<double>(end.now - start.now);
+  EXPECT_GE(steady, 20e6);
+  EXPECT_NEAR(ours / steady, 1.0, 0.01);
+}
+
+// --- Lock waits -----------------------------------------------------------------
+
+TEST_F(TraceTest, UncontendedLockWaitIsZero) {
+  Tracer::Get().Enable(kModeMetrics);
+  smp::SpinLock lock;
+  {
+    TimedLockGuard guard(lock, HistId::kBklWaitNs, kLockBkl);
+  }
+  HistogramSnapshot snap = Metrics::Get().hist(HistId::kBklWaitNs).Snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.buckets[0], 1u);
+  EXPECT_EQ(snap.sum, 0u);
+}
+
+// A SpinLock that notes a refused try_lock(), so a holder can keep the lock
+// until the guard under test has found it taken.
+struct WatchedLock {
+  void lock() { lock_.lock(); }
+  bool try_lock() {
+    bool ok = lock_.try_lock();
+    if (!ok) {
+      refused.store(true, std::memory_order_release);
+    }
+    return ok;
+  }
+  void unlock() { lock_.unlock(); }
+
+  smp::SpinLock lock_;
+  std::atomic<bool> refused{false};
+};
+
+TEST_F(TraceTest, BlockedLockWaitIsTimed) {
+  Tracer::Get().Enable(kModeMetrics);
+  WatchedLock lock;
+  std::atomic<bool> held{false};
+  std::thread holder([&] {
+    lock.lock();
+    held.store(true, std::memory_order_release);
+    while (!lock.refused.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    lock.unlock();
+  });
+  while (!held.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  {
+    TimedLockGuard guard(lock, HistId::kBklWaitNs, kLockBkl);
+  }
+  holder.join();
+  HistogramSnapshot snap = Metrics::Get().hist(HistId::kBklWaitNs).Snapshot();
+  ASSERT_EQ(snap.count, 1u);
+  // Bucket 20 starts at 2^19 ns (~0.52 ms).
+  for (size_t b = 0; b < 20; ++b) {
+    EXPECT_EQ(snap.buckets[b], 0u) << "bucket " << b;
+  }
+  EXPECT_GE(snap.sum, 1u << 19);
+}
+
+// --- Check spans are ring-only -------------------------------------------------
+
+TEST_F(TraceTest, MetricsModeCountsChecksWithoutHistograms) {
+  runtime::MetaPoolRuntime rt;
+  runtime::MetaPool* pool = rt.CreatePool("MPt", true, 64, /*complete=*/true);
+  ASSERT_TRUE(rt.RegisterObject(*pool, 0x10000, 64).ok());
+  rt.ResetStats();
+  Tracer::Get().Enable(kModeMetrics);
+  EXPECT_TRUE(rt.BoundsCheck(*pool, 0x10000, 0x10020).ok());
+  EXPECT_FALSE(rt.BoundsCheck(*pool, 0x10000, 0x10040).ok());
+  Tracer::Get().Disable();
+  EXPECT_EQ(rt.stats().bounds_performed, 2u);
+  EXPECT_EQ(rt.stats().bounds_failed, 1u);
+  EXPECT_EQ(Tracer::Get().events_recorded(), 0u);
+  for (const HistogramSnapshot& snap : Metrics::Get().Snapshot()) {
+    EXPECT_EQ(snap.count, 0u) << snap.name;
+  }
+}
+
+TEST_F(TraceTest, RingModeKeepsCheckSpanDurations) {
+  runtime::MetaPoolRuntime rt;
+  runtime::MetaPool* pool = rt.CreatePool("MPt", true, 64, /*complete=*/true);
+  ASSERT_TRUE(rt.RegisterObject(*pool, 0x10000, 64).ok());
+  Tracer::Get().Enable(kModeRing);
+  EXPECT_TRUE(rt.BoundsCheck(*pool, 0x10000, 0x10020).ok());
+  Tracer::Get().Disable();
+  std::vector<Event> checks;
+  for (const Event& e : Tracer::Get().Drain()) {
+    if (e.id == EventId::kBoundsCheck) {
+      checks.push_back(e);
+    }
+  }
+  ASSERT_EQ(checks.size(), 1u);
+  EXPECT_EQ(checks[0].phase, Phase::kSpan);
+  EXPECT_GT(checks[0].dur_ns, 0u);
+  EXPECT_EQ(checks[0].a0, 0x10000u);
+  EXPECT_EQ(checks[0].a1, 0x10020u);
+}
+
 // --- Multi-producer stress (tsan) --------------------------------------------
 
 TEST_F(TraceTest, ConcurrentProducersNeverLoseAccounting) {
@@ -243,6 +415,7 @@ TEST_F(TraceTest, ConcurrentProducersNeverLoseAccounting) {
       smp::ScopedCpu bind(t);
       for (uint64_t i = 0; i < kPerWorker; ++i) {
         Emit(EventId::kCacheHit, t, i);
+        Metrics::Get().hist(HistId::kIrqNs).Observe(i);
         if (i % 64 == 0) {
           Span span(EventId::kSyscall, HistId::kSyscallNs, t);
         }
@@ -269,6 +442,16 @@ TEST_F(TraceTest, ConcurrentProducersNeverLoseAccounting) {
   uint64_t hist_count =
       Metrics::Get().hist(HistId::kSyscallNs).Snapshot().count;
   EXPECT_EQ(hist_count, kWorkers * (kPerWorker / 64 + (kPerWorker % 64 != 0)));
+  // Concurrent Observe calls on one histogram: the count (the bucket total)
+  // and the sum both account for every observation.
+  HistogramSnapshot irq = Metrics::Get().hist(HistId::kIrqNs).Snapshot();
+  uint64_t bucket_total = 0;
+  for (uint64_t n : irq.buckets) {
+    bucket_total += n;
+  }
+  EXPECT_EQ(irq.count, bucket_total);
+  EXPECT_EQ(irq.count, kWorkers * kPerWorker);
+  EXPECT_EQ(irq.sum, kWorkers * (kPerWorker * (kPerWorker - 1) / 2));
 }
 
 // --- /metrics over the loopback stream path ----------------------------------
