@@ -7,8 +7,8 @@
 //   lame-like   : FP-compute-heavy, almost no kernel time  (~1%)
 //   gcc-like    : mixed compute + open/read/close of many small files (~4%)
 //   ldd-like    : open/close dominated                      (~56%)
-//   scp-like    : bulk socket + file traffic
-//   thttpd-like : request loop serving a small file over sockets
+//   scp-like    : bulk datagram traffic over lo + file writes
+//   thttpd-like : request loop serving a small file over a lo socket
 //
 // Expected shape: compute-bound apps see little overhead; syscall-heavy
 // ones (ldd, small-file serving) see the most, and most of it comes from
@@ -48,80 +48,142 @@ double ComputeFp(uint64_t iters) {
   return acc;
 }
 
+// Every syscall's return value is checked against what the app expects: a
+// transport error, an errno or a short count is reported and fails the run,
+// so a broken kernel path cannot pass as a fast one.
+int g_mismatches = 0;
+
+void Checked(BootedKernel& k, uint64_t want, Sys n, uint64_t a0 = 0,
+             uint64_t a1 = 0, uint64_t a2 = 0, uint64_t a3 = 0) {
+  auto r = k.k().Syscall(n, a0, a1, a2, a3);
+  if (!r.ok() || *r != want) {
+    if (++g_mismatches <= 10) {
+      std::fprintf(stderr,
+                   "table5: syscall %llu returned %s, expected %llu\n",
+                   static_cast<unsigned long long>(n),
+                   r.ok() ? std::to_string(static_cast<int64_t>(*r)).c_str()
+                          : r.status().ToString().c_str(),
+                   static_cast<unsigned long long>(want));
+    }
+  }
+}
+
+// A call that returns a new fd: any value below kMaxFd is accepted.
+uint64_t CheckedFd(BootedKernel& k, Sys n, uint64_t a0 = 0, uint64_t a1 = 0) {
+  constexpr uint64_t kMaxFd = 1u << 20;
+  auto r = k.k().Syscall(n, a0, a1);
+  if (!r.ok() || *r >= kMaxFd) {
+    ++g_mismatches;
+    std::fprintf(stderr, "table5: syscall %llu returned no fd\n",
+                 static_cast<unsigned long long>(n));
+    return kMaxFd;
+  }
+  return *r;
+}
+
+uint64_t Open(BootedKernel& k, const std::string& path) {
+  (void)k.k().PokeUserString(k.user(0), path);
+  return CheckedFd(k, Sys::kOpen, k.user(0), /*create=*/1);
+}
+
+// A datagram socket bound to `port` on lo; sends go to itself.
+uint64_t LoopbackSocket(BootedKernel& k, uint16_t port) {
+  uint64_t sock = CheckedFd(
+      k, Sys::kSocket, static_cast<uint64_t>(kernel::SocketDomain::kDatagram));
+  Checked(k, 0, Sys::kBind, sock, port);
+  return sock;
+}
+
+uint64_t LoopbackDest(uint16_t port) {
+  return (static_cast<uint64_t>(net::kLoopbackIp) << 16) | port;
+}
+
 struct App {
   std::string name;
   std::string sys_profile;
   std::function<void(BootedKernel&)> run;
-  int repetitions = 9;
 };
 
 std::vector<App> BuildApps() {
+  constexpr uint64_t kEAgain = static_cast<uint64_t>(-11);
   std::vector<App> apps;
   apps.push_back(
       {"bzip2-like (compress)", "~16% sys", [](BootedKernel& k) {
-         uint64_t fd = k.OpenFile("/bench/input");
+         uint64_t fd = Open(k, "/bench/input");
          for (int block = 0; block < 24; ++block) {
-           k.Call(Sys::kLseek, fd, 0, 0);
-           k.Call(Sys::kRead, fd, k.user(4096), 4096);
+           Checked(k, 0, Sys::kLseek, fd, 0, 0);
+           Checked(k, 4096, Sys::kRead, fd, k.user(4096), 4096);
            ComputeInt(60000);
          }
-         k.Call(Sys::kClose, fd);
+         Checked(k, 0, Sys::kClose, fd);
        }});
   apps.push_back({"lame-like (mp3 encode)", "~1% sys", [](BootedKernel& k) {
                     for (int frame = 0; frame < 8; ++frame) {
                       ComputeFp(250000);
-                      k.Call(Sys::kWrite, 0, k.user(1024), 128);
+                      Checked(k, 128, Sys::kWrite, 0, k.user(1024), 128);
                     }
                   }});
   apps.push_back(
       {"gcc-like (compile)", "~4% sys", [](BootedKernel& k) {
          for (int unit = 0; unit < 12; ++unit) {
-           uint64_t fd =
-               k.OpenFile("/bench/hdr" + std::to_string(unit % 4));
-           k.Call(Sys::kWrite, fd, k.user(4096), 2048);
-           k.Call(Sys::kLseek, fd, 0, 0);
-           k.Call(Sys::kRead, fd, k.user(4096), 2048);
-           k.Call(Sys::kClose, fd);
+           uint64_t fd = Open(k, "/bench/hdr" + std::to_string(unit % 4));
+           Checked(k, 2048, Sys::kWrite, fd, k.user(4096), 2048);
+           Checked(k, 0, Sys::kLseek, fd, 0, 0);
+           Checked(k, 2048, Sys::kRead, fd, k.user(4096), 2048);
+           Checked(k, 0, Sys::kClose, fd);
            ComputeInt(60000);
          }
        }});
   apps.push_back(
       {"ldd-like (library scan)", "~56% sys", [](BootedKernel& k) {
          for (int lib = 0; lib < 1200; ++lib) {
-           uint64_t fd =
-               k.OpenFile("/lib/lib" + std::to_string(lib % 8));
-           k.Call(Sys::kRead, fd, k.user(4096), 512);
-           k.Call(Sys::kClose, fd);
+           uint64_t fd = Open(k, "/lib/lib" + std::to_string(lib % 8));
+           // The scanned libraries are empty files: the read is EOF.
+           Checked(k, 0, Sys::kRead, fd, k.user(4096), 512);
+           Checked(k, 0, Sys::kClose, fd);
          }
          ComputeInt(240000);
        }});
   apps.push_back(
       {"scp-like (bulk transfer)", "bulk I/O", [](BootedKernel& k) {
-         uint64_t sock = k.Call(Sys::kSocket);
-         uint64_t fd = k.OpenFile("/bench/out");
+         constexpr uint64_t kChunk = 4096;
+         uint64_t sock = LoopbackSocket(k, 22);
+         uint64_t fd = Open(k, "/bench/out");
          for (int chunk = 0; chunk < 640; ++chunk) {
-           k.Call(Sys::kSend, sock, k.user(4096), 4096);
-           k.Call(Sys::kRecv, sock, k.user(8192), 4096);
-           k.Call(Sys::kWrite, fd, k.user(8192), 4096);
+           // Each 4 KiB chunk crosses lo as datagrams of at most one
+           // frame's payload.
+           for (uint64_t off = 0; off < kChunk; off += net::kMaxUdpPayload) {
+             uint64_t n = std::min<uint64_t>(net::kMaxUdpPayload, kChunk - off);
+             Checked(k, n, Sys::kSend, sock, k.user(4096) + off, n,
+                     LoopbackDest(22));
+           }
+           for (uint64_t off = 0; off < kChunk; off += net::kMaxUdpPayload) {
+             uint64_t n = std::min<uint64_t>(net::kMaxUdpPayload, kChunk - off);
+             Checked(k, n, Sys::kRecv, sock, k.user(8192) + off, n);
+           }
+           Checked(k, kChunk, Sys::kWrite, fd, k.user(8192), kChunk);
            ComputeInt(4000);  // Cipher cost.
          }
-         k.Call(Sys::kClose, fd);
-         k.Call(Sys::kClose, sock);
+         Checked(k, 0, Sys::kClose, fd);
+         Checked(k, 0, Sys::kClose, sock);
        }});
   apps.push_back(
-      {"thttpd-like (311B x 2000 req)", "request loop", [](BootedKernel& k) {
-         uint64_t fd = k.OpenFile("/www/index.html");
+      {"thttpd-like (311B x 2000 req)", "request loop",
+       [kEAgain](BootedKernel& k) {
+         uint64_t fd = Open(k, "/www/index.html");
          k.FillFile(fd, 311);
-         uint64_t sock = k.Call(Sys::kSocket);
+         uint64_t sock = LoopbackSocket(k, 80);
          for (int request = 0; request < 2000; ++request) {
-           k.Call(Sys::kRecv, sock, k.user(8192), 128);  // Request (empty).
-           k.Call(Sys::kLseek, fd, 0, 0);
-           k.Call(Sys::kRead, fd, k.user(4096), 311);
-           k.Call(Sys::kSend, sock, k.user(4096), 311);
-           k.Call(Sys::kRecv, sock, k.user(8192), 311);  // Drain loopback.
+           // The request poll finds nothing queued.
+           Checked(k, kEAgain, Sys::kRecv, sock, k.user(8192), 128);
+           Checked(k, 0, Sys::kLseek, fd, 0, 0);
+           Checked(k, 311, Sys::kRead, fd, k.user(4096), 311);
+           Checked(k, 311, Sys::kSend, sock, k.user(4096), 311,
+                   LoopbackDest(80));
+           Checked(k, 311, Sys::kRecv, sock, k.user(8192), 311);  // Drain lo.
          }
-         k.Call(Sys::kClose, fd);
-         k.Call(Sys::kClose, sock);
+         Checked(k, 0, Sys::kClose, fd);
+         Checked(k, 0, Sys::kClose, sock);
        }});
   return apps;
 }
@@ -139,15 +201,16 @@ void Run() {
       kernels.push_back(std::make_unique<BootedKernel>(kAllModes[m]));
       BootedKernel& k = *kernels.back();
       (void)k.k().PokeUserString(k.user(0), "/dev/null");
-      k.Call(Sys::kOpen, k.user(0), 0);  // fd 0: /dev/null sink.
+      Checked(k, 0, Sys::kOpen, k.user(0), 0);  // fd 0: /dev/null sink.
       // Prepare a 4k input file for readers.
-      uint64_t fd = k.OpenFile("/bench/input");
+      uint64_t fd = Open(k, "/bench/input");
       k.FillFile(fd, 4096);
-      k.Call(Sys::kClose, fd);
+      Checked(k, 0, Sys::kClose, fd);
       app.run(k);  // Warm up.
     }
     std::vector<double> samples[4];
-    for (int rep = 0; rep < app.repetitions; ++rep) {
+    const int repetitions = JsonReport::Get().quick() ? 1 : 9;
+    for (int rep = 0; rep < repetitions; ++rep) {
       for (int m = 0; m < 4; ++m) {
         samples[m].push_back(TimeOnceUs([&] { app.run(*kernels[m]); }));
       }
@@ -180,5 +243,11 @@ void Run() {
 int main(int argc, char** argv) {
   sva::bench::JsonReport::Get().Init(&argc, argv, "table5_app_latency");
   sva::bench::Run();
-  return sva::bench::JsonReport::Get().Finish();
+  int status = sva::bench::JsonReport::Get().Finish();
+  if (sva::bench::g_mismatches > 0) {
+    std::fprintf(stderr, "table5: %d syscall results did not match\n",
+                 sva::bench::g_mismatches);
+    return 1;
+  }
+  return status;
 }

@@ -145,7 +145,6 @@ Status Kernel::Boot() {
   inode_cache_ = allocators_->CreateCache("inode", 96);
   file_cache_ = allocators_->CreateCache("filp", 48);
   pipe_cache_ = allocators_->CreateCache("pipe_inode_info", 64);
-  socket_cache_ = allocators_->CreateCache("sock", 128);
   evq_cache_ = allocators_->CreateCache("eventpoll", 64);
   prof_cache_ = allocators_->CreateCache("perf_event", 32);
 
@@ -227,61 +226,6 @@ void Kernel::TranslatorTax() {
   }
 }
 
-Kernel::SyscallRoute Kernel::RouteSyscall(Sys number, uint64_t a0) {
-  switch (number) {
-    case Sys::kBind:
-    case Sys::kAccept:
-      return SyscallRoute::kNet;  // Net-stack-only syscalls.
-    case Sys::kEvqCreate:
-    case Sys::kEvqCtl:
-    case Sys::kEvqWait:
-      return SyscallRoute::kEvq;
-    case Sys::kSend:
-    case Sys::kRecv:
-      return NetSocketIdForFd(a0) >= 0 ? SyscallRoute::kNet
-                                       : SyscallRoute::kSockets;
-    case Sys::kSocket:
-      // a0 is the domain: legacy loopback goes to the legacy socket table,
-      // everything else is created in the net stack.
-      return static_cast<SocketDomain>(a0) == SocketDomain::kLegacyLoopback
-                 ? SyscallRoute::kSockets
-                 : SyscallRoute::kNet;
-    case Sys::kPipe:
-      return SyscallRoute::kPipes;
-    case Sys::kRead:
-    case Sys::kWrite:
-      // Pipe fds take the pipe path; everything else (regular files,
-      // /dev/null, socket fallthroughs) enters through the vfs route.
-      return PipeIdForFd(a0) >= 0 ? SyscallRoute::kPipes
-                                  : SyscallRoute::kVfs;
-    case Sys::kOpen:
-    case Sys::kClose:
-    case Sys::kStat:
-    case Sys::kLseek:
-    case Sys::kUnlink:
-    case Sys::kDup:
-      return SyscallRoute::kVfs;
-    case Sys::kFork:
-    case Sys::kExecve:
-    case Sys::kExit:
-    case Sys::kWaitPid:
-    case Sys::kKill:
-    case Sys::kBrk:
-    case Sys::kSigaction:
-    case Sys::kGetPid:
-    case Sys::kGetTimeOfDay:
-    case Sys::kGetRusage:
-    // Profiling sessions ride the tasks route: the handlers touch only the
-    // current task's fd table (files_lock_) and the unranked prof leaf.
-    case Sys::kProfStart:
-    case Sys::kProfStop:
-    case Sys::kProfRead:
-      return SyscallRoute::kTasks;
-  }
-  // Unknown syscall numbers are the only remaining big-kernel-lock users.
-  return SyscallRoute::kBkl;
-}
-
 Result<uint64_t> Kernel::Syscall(Sys number, uint64_t a0, uint64_t a1,
                                  uint64_t a2, uint64_t a3) {
   if (!booted_) {
@@ -289,29 +233,13 @@ Result<uint64_t> Kernel::Syscall(Sys number, uint64_t a0, uint64_t a1,
   }
   trace::Span span(trace::EventId::kSyscall, trace::HistId::kSyscallNs,
                    static_cast<uint64_t>(number));
-  // Every steady-state syscall dispatches off the big kernel lock onto its
-  // subsystem's leaf lock (taken inside the handler, where the subsystem
-  // state is actually touched — the wrapper cannot hold tasks_lock_ here
-  // because handler prologues resolve current_task() through it). args[5]
-  // carries the route so handlers never fall through to state another
-  // domain guards.
-  SyscallRoute route = RouteSyscall(number, a0);
-  if (route != SyscallRoute::kBkl) {
-    Result<uint64_t> r =
-        Dispatch(number, {a0, a1, a2, a3, 0, static_cast<uint64_t>(route)});
-    // The syscall-exit quiescent state (docs/CONCURRENCY.md §5): no epoch
-    // guard and no kernel lock is held here, so this thread can drive the
-    // grace-period advance and run deferred reclaims.
-    smp::EpochDomain::Global().QuiescentState();
-    return r;
-  }
-  // SVA-PORT(svaos): the demoted big kernel lock — only unknown syscall
-  // numbers (and the scheduler/host helpers) still serialize on it.
-  Result<uint64_t> r = [&] {
-    trace::TimedLockGuard<smp::OrderedSpinLock> guard(
-        bkl_, trace::HistId::kBklWaitNs, trace::kLockBkl);
-    return Dispatch(number, {a0, a1, a2, a3, 0, 0});
-  }();
+  // No lock here: each handler takes its subsystem's leaf lock where it
+  // touches that state, and an unknown number touches none (SVA-OS and the
+  // native switch both return NotFound for it).
+  Result<uint64_t> r = Dispatch(number, {a0, a1, a2, a3, 0, 0});
+  // The syscall-exit quiescent state (docs/CONCURRENCY.md §5): no epoch
+  // guard and no kernel lock is held here, so this thread can drive the
+  // grace-period advance and run deferred reclaims.
   smp::EpochDomain::Global().QuiescentState();
   return r;
 }
@@ -381,7 +309,7 @@ Result<uint64_t> Kernel::HandleSyscall(Sys number,
   // Publish "in kernel, running syscall X for pid P" to the sampling
   // profiler. One relaxed load when no profiler is running; a few relaxed
   // stores on this CPU's slot otherwise — never a lock, so the hook is safe
-  // under every route's leaf locks.
+  // under every handler's leaf locks.
   trace::ProfContextScope prof;
   if (trace::prof_enabled()) {
     prof.Enter(trace::ProfContext::kKernelSyscall, ProfNameForSyscall(number),
@@ -408,12 +336,9 @@ Result<uint64_t> Kernel::HandleSyscall(Sys number,
       case Sys::kClose:
         return SysClose(args[0]);
       case Sys::kRead:
-        // args[5] == 2: routed to the pipe subsystem (pipes_lock_, no BKL).
-        return args[5] == 2 ? SysPipeRead(args[0], args[1], args[2])
-                            : SysRead(args[0], args[1], args[2]);
+        return SysRead(args[0], args[1], args[2]);
       case Sys::kWrite:
-        return args[5] == 2 ? SysPipeWrite(args[0], args[1], args[2])
-                            : SysWrite(args[0], args[1], args[2]);
+        return SysWrite(args[0], args[1], args[2]);
       case Sys::kLseek:
         return SysLseek(args[0], args[1], args[2]);
       case Sys::kStat:
@@ -441,15 +366,9 @@ Result<uint64_t> Kernel::HandleSyscall(Sys number,
       case Sys::kSocket:
         return SysSocket(args[0]);
       case Sys::kSend:
-        // args[5] routes: the net fast path must not touch the legacy
-        // loopback queue (sockets_lock_-protected), and vice versa. A
-        // mismatch means the socket changed type between routing and
-        // dispatch: kEBadF.
-        return args[5] == 1 ? SysNetSend(args[0], args[1], args[2], args[3])
-                            : SysSend(args[0], args[1], args[2]);
+        return SysNetSend(args[0], args[1], args[2], args[3]);
       case Sys::kRecv:
-        return args[5] == 1 ? SysNetRecv(args[0], args[1], args[2])
-                            : SysRecv(args[0], args[1], args[2]);
+        return SysNetRecv(args[0], args[1], args[2]);
       case Sys::kBind:
         return SysNetBind(args[0], args[1], args[2]);
       case Sys::kAccept:
@@ -477,21 +396,17 @@ Result<uint64_t> Kernel::HandleSyscall(Sys number,
     result = kENoMem;
   }
 
-  // Signal delivery on the return path. SVA-PORT(svaos): dispatch saves
-  // state on the kernel stack and uses llva.ipush.function instead of
-  // rewriting the user stack frame (Section 6.1). Delivery runs on the
-  // tasks route (which kKill itself takes, so a self-signal is seen on the
-  // same return) and the BKL fallback; the other fast paths skip it —
-  // signals are delivered on the task's next tasks-route entry. The
-  // pending mask is an atomic bitmask, so no lock is needed here.
-  uint64_t route = args[5];
-  if (route == 0 || route == static_cast<uint64_t>(SyscallRoute::kTasks)) {
-    Task* after = current_task();
-    if (after != nullptr &&
-        std::atomic_ref<uint32_t>(after->pending_signals)
-                .load(std::memory_order_acquire) != 0) {
-      DeliverPendingSignals(*after, icontext);
-    }
+  // Signal delivery on every syscall return. SVA-PORT(svaos): dispatch
+  // saves state on the kernel stack and uses llva.ipush.function instead of
+  // rewriting the user stack frame (Section 6.1). The pending mask is an
+  // atomic bitmask, so no lock is needed; the entry-resolved task stays
+  // pinned by the epoch guard, so it is re-resolved only when the syscall
+  // switched tasks (exit hands the CPU to the parent).
+  Task* after = current_pid() == task->pid ? task : current_task();
+  if (after != nullptr &&
+      std::atomic_ref<uint32_t>(after->pending_signals)
+              .load(std::memory_order_acquire) != 0) {
+    DeliverPendingSignals(*after, icontext);
   }
   return result;
 }
@@ -703,9 +618,9 @@ Task* Kernel::current_task() {
   const int pid = current_pid();
   {
     // Fast path: binary-search the epoch-published pid snapshot. This runs
-    // in every syscall prologue (and again on the signal tail), so it must
-    // not contend on tasks_lock_ — before the epoch conversion this lookup
-    // was the last lock every syscall still took.
+    // in every syscall prologue, so it must not contend on tasks_lock_ —
+    // before the epoch conversion this lookup was the last lock every
+    // syscall still took.
     smp::EpochGuard guard;
     const TaskIndex* index = task_index_.load(std::memory_order_acquire);
     if (index != nullptr) {
@@ -1034,6 +949,7 @@ Result<Inode*> Kernel::LookupInode(const std::string& name, bool create) {
 Status Kernel::ReleaseFile(int file_index) {
   OpenFile* defunct = nullptr;
   int defunct_net_sid = -1;
+  int defunct_pipe = -1;
   int defunct_evq = -1;
   int defunct_prof = -1;
   {
@@ -1049,6 +965,7 @@ Status Kernel::ReleaseFile(int file_index) {
       return OkStatus();
     }
     defunct_net_sid = file->net_socket_id;
+    defunct_pipe = file->pipe_id;
     defunct_evq = file->evq_id;
     defunct_prof = file->prof_id;
     // Publish-then-retire: null the entry (release pairs with FileForFd's
@@ -1060,14 +977,32 @@ Status Kernel::ReleaseFile(int file_index) {
     defunct = file;
   }
   // Teardown outside files_lock_ (it is a leaf lock; the net stack, the
-  // allocators, and evq_lock_ — which ranks ABOVE files_lock_ — take their
-  // own locks).
+  // allocators, and pipes_lock_/evq_lock_ — which rank ABOVE files_lock_ —
+  // take their own locks).
   if (defunct_net_sid >= 0) {
     // Close-while-registered: the socket silently leaves every event queue
     // watching it, epoll-style, before the net stack reclaims the id.
     DropSocketWatches(defunct_net_sid);
     if (net_ != nullptr) {
       SVA_RETURN_IF_ERROR(net_->Close(defunct_net_sid));
+    }
+  }
+  if (defunct_pipe >= 0) {
+    // The last end frees the pipe. The slot is reset under pipes_lock_,
+    // which every ring access holds, so a racing reader either finishes
+    // its copy first or finds the slot null; the ring and cache object can
+    // then be freed at once, without waiting out a grace period.
+    std::unique_ptr<Pipe> dead;
+    {
+      std::lock_guard<smp::OrderedSpinLock> guard(pipes_lock_);
+      std::unique_ptr<Pipe>& slot = pipes_[static_cast<size_t>(defunct_pipe)];
+      if (--slot->open_ends == 0) {
+        dead = std::move(slot);
+      }
+    }
+    if (dead != nullptr) {
+      SVA_RETURN_IF_ERROR(allocators_->Kfree(dead->buffer));
+      SVA_RETURN_IF_ERROR(allocators_->CacheFree(pipe_cache_, dead->addr));
     }
   }
   if (defunct_evq >= 0) {
@@ -1221,17 +1156,13 @@ Result<uint64_t> Kernel::SysRead(uint64_t fd, uint64_t uaddr, uint64_t len) {
   }
   OpenFile* file = *file_r;
 
+  // One resolve serves every fd kind; no lock is held yet, so each backend
+  // takes its own lock clean, not nested.
   if (file->pipe_id >= 0) {
-    // Fallback (the fd became a pipe between routing and dispatch): take
-    // the pipe path. No vfs lock is held yet, so pipes_lock_ is acquired
-    // clean, not nested.
-    return SysPipeRead(fd, uaddr, len);
+    return PipeRead(task, *file, uaddr, len);
   }
   if (file->net_socket_id >= 0) {
-    return SysNetRecv(fd, uaddr, len);
-  }
-  if (file->socket_id >= 0) {
-    return SysRecv(fd, uaddr, len);
+    return NetRecv(task, file->net_socket_id, uaddr, len);
   }
   if (file->ino < 0) {
     return kEBadF;
@@ -1288,14 +1219,10 @@ Result<uint64_t> Kernel::SysWrite(uint64_t fd, uint64_t uaddr, uint64_t len) {
   OpenFile* file = *file_r;
 
   if (file->pipe_id >= 0) {
-    // Fallback, as in SysRead (no vfs lock held yet).
-    return SysPipeWrite(fd, uaddr, len);
+    return PipeWrite(task, *file, uaddr, len);
   }
   if (file->net_socket_id >= 0) {
-    return SysNetSend(fd, uaddr, len, /*dest=*/0);
-  }
-  if (file->socket_id >= 0) {
-    return SysSend(fd, uaddr, len);
+    return NetSend(task, file->net_socket_id, uaddr, len, /*dest=*/0);
   }
   if (file->ino < 0) {
     return kEBadF;
@@ -1496,25 +1423,18 @@ Result<uint64_t> Kernel::SysPipe(uint64_t uaddr_out) {
   return uint64_t{0};
 }
 
-Result<uint64_t> Kernel::SysPipeRead(uint64_t fd, uint64_t uaddr,
-                                     uint64_t len) {
-  Task& task = *current_task();
-  auto file_r = FileForFd(task, fd);
-  if (!file_r.ok()) {
-    return kEBadF;
-  }
-  OpenFile* file = *file_r;
-  if (file->pipe_id < 0) {
-    // The fd stopped being a pipe between routing and dispatch: kEBadF, the
-    // same contract the net route uses for a socket-type mismatch.
-    return kEBadF;
-  }
-  if (!file->pipe_read_end) {
+Result<uint64_t> Kernel::PipeRead(Task& task, const OpenFile& file,
+                                  uint64_t uaddr, uint64_t len) {
+  if (!file.pipe_read_end) {
     return kEInval;
   }
   trace::TimedLockGuard<smp::OrderedSpinLock> guard(
       pipes_lock_, trace::HistId::kPipesWaitNs, trace::kLockPipes);
-  Pipe& pipe = *pipes_[static_cast<size_t>(file->pipe_id)];
+  Pipe* live = pipes_[static_cast<size_t>(file.pipe_id)].get();
+  if (live == nullptr) {
+    return kEBadF;  // Both ends were released while this read resolved.
+  }
+  Pipe& pipe = *live;
   uint64_t to_read = std::min(len, pipe.count);
   uint64_t done = 0;
   while (done < to_read) {
@@ -1532,23 +1452,18 @@ Result<uint64_t> Kernel::SysPipeRead(uint64_t fd, uint64_t uaddr,
   return to_read;
 }
 
-Result<uint64_t> Kernel::SysPipeWrite(uint64_t fd, uint64_t uaddr,
-                                      uint64_t len) {
-  Task& task = *current_task();
-  auto file_r = FileForFd(task, fd);
-  if (!file_r.ok()) {
-    return kEBadF;
-  }
-  OpenFile* file = *file_r;
-  if (file->pipe_id < 0) {
-    return kEBadF;
-  }
-  if (file->pipe_read_end) {
+Result<uint64_t> Kernel::PipeWrite(Task& task, const OpenFile& file,
+                                   uint64_t uaddr, uint64_t len) {
+  if (file.pipe_read_end) {
     return kEInval;
   }
   trace::TimedLockGuard<smp::OrderedSpinLock> guard(
       pipes_lock_, trace::HistId::kPipesWaitNs, trace::kLockPipes);
-  Pipe& pipe = *pipes_[static_cast<size_t>(file->pipe_id)];
+  Pipe* live = pipes_[static_cast<size_t>(file.pipe_id)].get();
+  if (live == nullptr) {
+    return kEBadF;
+  }
+  Pipe& pipe = *live;
   uint64_t space = kPipeCapacity - pipe.count;
   uint64_t to_write = std::min(len, space);
   uint64_t done = 0;
@@ -1859,18 +1774,6 @@ Result<uint64_t> Kernel::SysSocket(uint64_t domain) {
   file->refs = 1;
 
   switch (static_cast<SocketDomain>(domain)) {
-    case SocketDomain::kLegacyLoopback: {
-      SVA_ASSIGN_OR_RETURN(uint64_t sock_addr,
-                           allocators_->CacheAlloc(socket_cache_));
-      auto socket = std::make_unique<Socket>();
-      socket->addr = sock_addr;
-      // SysSocket runs off the BKL; the table growth needs sockets_lock_
-      // (concurrent send/recv index sockets_ under it; nodes are stable).
-      std::lock_guard<smp::OrderedSpinLock> guard(sockets_lock_);
-      sockets_.push_back(std::move(socket));
-      file->socket_id = static_cast<int>(sockets_.size() - 1);
-      break;
-    }
     case SocketDomain::kDatagram:
     case SocketDomain::kListener: {
       auto sid = net_->CreateSocket(
@@ -1896,79 +1799,15 @@ Result<uint64_t> Kernel::SysSocket(uint64_t domain) {
   return static_cast<uint64_t>(*fd);
 }
 
-Result<uint64_t> Kernel::SysSend(uint64_t fd, uint64_t uaddr, uint64_t len) {
-  Task& task = *current_task();
-  auto file_r = FileForFd(task, fd);
-  if (!file_r.ok() || (*file_r)->socket_id < 0) {
-    return kEBadF;
-  }
-  // An skb per send, like the network stack's allocation pattern. Allocate
-  // and fill it before taking sockets_lock_, so only the queue append is
-  // serialized.
-  SVA_ASSIGN_OR_RETURN(uint64_t skb, allocators_->Kmalloc(len));
-  uint64_t cls = allocators_->KmallocSize(skb);
-  SVA_RETURN_IF_ERROR(BoundsCheckObject(allocators_->PoolForKmallocClass(cls),
-                                        skb, skb + len - 1));
-  Status copy = CopyFromUser(task, skb, uaddr, len);
-  if (!copy.ok()) {
-    (void)allocators_->Kfree(skb);
-    return copy;
-  }
-  std::lock_guard<smp::OrderedSpinLock> guard(sockets_lock_);
-  Socket& socket = *sockets_[static_cast<size_t>((*file_r)->socket_id)];
-  socket.queue.emplace_back(skb, len);
-  socket.queued_bytes += len;
-  return len;
-}
-
-Result<uint64_t> Kernel::SysRecv(uint64_t fd, uint64_t uaddr, uint64_t len) {
-  Task& task = *current_task();
-  auto file_r = FileForFd(task, fd);
-  if (!file_r.ok() || (*file_r)->socket_id < 0) {
-    return kEBadF;
-  }
-  // The copy-out runs under sockets_lock_ so a failed copy leaves the skb
-  // at the queue head (it only takes external lock classes, which rank
-  // below every kernel lock).
-  std::lock_guard<smp::OrderedSpinLock> guard(sockets_lock_);
-  Socket& socket = *sockets_[static_cast<size_t>((*file_r)->socket_id)];
-  if (socket.queue.empty()) {
-    return uint64_t{0};
-  }
-  auto [skb, skb_len] = socket.queue.front();
-  uint64_t to_copy = std::min(len, skb_len);
-  SVA_RETURN_IF_ERROR(BoundsCheckObject(
-      allocators_->PoolForKmallocClass(allocators_->KmallocSize(skb)), skb,
-      skb + to_copy - 1));
-  SVA_RETURN_IF_ERROR(CopyToUser(task, uaddr, skb, to_copy));
-  socket.queue.erase(socket.queue.begin());
-  socket.queued_bytes -= skb_len;
-  SVA_RETURN_IF_ERROR(allocators_->Kfree(skb));
-  return to_copy;
-}
-
-// --- Net-stack syscalls (off the big kernel lock) ---------------------------------
+// --- Net-stack syscalls ---------------------------------------------------------
 
 int Kernel::NetSocketIdForFd(uint64_t fd) {
-  // Routing probe: runs in RouteSyscall, BEFORE HandleSyscall pins its
-  // epoch, so it takes a guard of its own around the lock-free lookup.
   Task* task = current_task();
   if (task == nullptr) {
     return -1;
   }
-  smp::EpochGuard guard;
   auto file = FileForFd(*task, fd);
   return file.ok() ? (*file)->net_socket_id : -1;
-}
-
-int Kernel::PipeIdForFd(uint64_t fd) {
-  Task* task = current_task();
-  if (task == nullptr) {
-    return -1;
-  }
-  smp::EpochGuard guard;
-  auto file = FileForFd(*task, fd);
-  return file.ok() ? (*file)->pipe_id : -1;
 }
 
 int Kernel::EvqIdForFd(uint64_t fd) {
@@ -1976,7 +1815,6 @@ int Kernel::EvqIdForFd(uint64_t fd) {
   if (task == nullptr) {
     return -1;
   }
-  smp::EpochGuard guard;
   auto file = FileForFd(*task, fd);
   return file.ok() ? (*file)->evq_id : -1;
 }
@@ -2057,9 +1895,13 @@ Result<uint64_t> Kernel::SysNetSend(uint64_t fd, uint64_t uaddr, uint64_t len,
   }
   auto file_r = FileForFd(*task, fd);
   if (!file_r.ok() || (*file_r)->net_socket_id < 0) {
-    return kEBadF;
+    return kEBadF;  // Not an fd, or a regular file or pipe.
   }
-  int sid = (*file_r)->net_socket_id;
+  return NetSend(*task, (*file_r)->net_socket_id, uaddr, len, dest);
+}
+
+Result<uint64_t> Kernel::NetSend(Task& task, int sid, uint64_t uaddr,
+                                 uint64_t len, uint64_t dest) {
   auto kind = net_->Kind(sid);
   if (!kind.ok()) {
     return kEBadF;
@@ -2094,7 +1936,7 @@ Result<uint64_t> Kernel::SysNetSend(uint64_t fd, uint64_t uaddr, uint64_t len,
       (void)net_->FreeSkb(skb->addr);
       return check;
     }
-    Status copy = CopyFromUser(*task, skb->addr + net::kTxPayloadOffset,
+    Status copy = CopyFromUser(task, skb->addr + net::kTxPayloadOffset,
                                uaddr + sent, chunk);
     if (!copy.ok()) {
       (void)net_->FreeSkb(skb->addr);
@@ -2117,11 +1959,16 @@ Result<uint64_t> Kernel::SysNetRecv(uint64_t fd, uint64_t uaddr,
   }
   auto file_r = FileForFd(*task, fd);
   if (!file_r.ok() || (*file_r)->net_socket_id < 0) {
-    return kEBadF;
+    return kEBadF;  // Not an fd, or a regular file or pipe.
   }
-  auto slice = net_->RecvBegin((*file_r)->net_socket_id,
-                               static_cast<uint32_t>(std::min<uint64_t>(
-                                   len, net::kSkbBufferBytes)));
+  return NetRecv(*task, (*file_r)->net_socket_id, uaddr, len);
+}
+
+Result<uint64_t> Kernel::NetRecv(Task& task, int sid, uint64_t uaddr,
+                                 uint64_t len) {
+  auto slice = net_->RecvBegin(
+      sid,
+      static_cast<uint32_t>(std::min<uint64_t>(len, net::kSkbBufferBytes)));
   if (!slice.ok()) {
     return slice.status().code() == StatusCode::kInvalidArgument
                ? Result<uint64_t>(kEInval)
@@ -2131,7 +1978,6 @@ Result<uint64_t> Kernel::SysNetRecv(uint64_t fd, uint64_t uaddr,
     // Non-blocking semantics: an empty queue is EOF (0) only after the peer
     // FINned; otherwise the caller must retry — blind polling loops are
     // what the event queue exists to replace.
-    int sid = (*file_r)->net_socket_id;
     if ((net_->PollReady(sid) & net::kReadyHup) != 0) {
       return uint64_t{0};
     }
@@ -2145,7 +1991,7 @@ Result<uint64_t> Kernel::SysNetRecv(uint64_t fd, uint64_t uaddr,
     (void)net_->RecvFinish(*slice);
     return check;
   }
-  Status copy = CopyToUser(*task, uaddr, slice->data_addr, slice->len);
+  Status copy = CopyToUser(task, uaddr, slice->data_addr, slice->len);
   SVA_RETURN_IF_ERROR(net_->RecvFinish(*slice));
   SVA_RETURN_IF_ERROR(copy);
   return uint64_t{slice->len};

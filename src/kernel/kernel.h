@@ -77,11 +77,11 @@ enum class Sys : uint64_t {
   kProfRead = 112,
 };
 
-// Socket domains for Sys::kSocket's first argument.
+// Socket domains for Sys::kSocket's first argument (any other value,
+// including 0, is kEInval).
 enum class SocketDomain : uint64_t {
-  kLegacyLoopback = 0,  // The pre-net-stack in-kernel loopback queue.
-  kDatagram = 1,        // UDP over the net stack.
-  kListener = 2,        // Stream listener over the net stack.
+  kDatagram = 1,  // UDP over the net stack.
+  kListener = 2,  // Stream listener over the net stack.
 };
 inline constexpr int kMaxSignals = 32;
 inline constexpr uint64_t kUserVirtualBase = 0x400000;
@@ -227,13 +227,9 @@ struct Pipe {
   uint64_t rpos = 0;
   uint64_t wpos = 0;
   uint64_t count = 0;
-};
-
-struct Socket {
-  uint64_t addr = 0;
-  // Loopback queue of kmalloc'd skbs: (address, length).
-  std::vector<std::pair<uint64_t, uint64_t>> queue;
-  uint64_t queued_bytes = 0;
+  // Ends whose OpenFile is still live (2 at creation). ReleaseFile frees
+  // the pipe when the last one goes.
+  int open_ends = 2;
 };
 
 struct OpenFile {
@@ -244,7 +240,6 @@ struct OpenFile {
   int ino = -1;        // Ramfs inode, or
   int pipe_id = -1;    // pipe (with end), or
   bool pipe_read_end = false;
-  int socket_id = -1;      // legacy loopback socket, or
   int net_socket_id = -1;  // a socket in the net stack (src/net), or
   int evq_id = -1;         // an event queue (kEvqCreate), or
   int prof_id = -1;        // a profiling session (kProfStart).
@@ -355,14 +350,14 @@ class Kernel {
   Status Boot();
 
   // The user-program entry point: traps into the kernel through the path
-  // selected by the configuration. Safe to call from multiple worker
-  // threads: every steady-state syscall dispatches onto its subsystem's
-  // leaf lock (vfs_lock_, tasks_lock_, sockets_lock_, pipes_lock_, or the
-  // net stack's own locks); fd -> file resolution and ramfs path lookup
-  // are LOCK-FREE under an epoch guard (files_lock_ and vfs_lock_ are
-  // writer-only); the big kernel lock survives only for the scheduler and
-  // unknown syscall numbers. See docs/CONCURRENCY.md for the hierarchy
-  // and §5 for the epoch contract.
+  // selected by the configuration and takes no lock itself. Safe to call
+  // from multiple worker threads: each handler takes its subsystem's leaf
+  // lock (vfs_lock_, tasks_lock_, pipes_lock_, evq_lock_, or the net
+  // stack's own locks) where it touches that state; fd -> file resolution
+  // and ramfs path lookup are LOCK-FREE under an epoch guard (files_lock_
+  // and vfs_lock_ are writer-only). Unknown numbers touch no state and
+  // return NotFound. See docs/CONCURRENCY.md for the hierarchy and §5 for
+  // the epoch contract.
   Result<uint64_t> Syscall(Sys number, uint64_t a0 = 0, uint64_t a1 = 0,
                            uint64_t a2 = 0, uint64_t a3 = 0);
 
@@ -447,10 +442,12 @@ class Kernel {
   Result<uint64_t> SysStat(uint64_t path_uaddr);
   Result<uint64_t> SysUnlink(uint64_t path_uaddr);
   Result<uint64_t> SysPipe(uint64_t uaddr_out);
-  // Pipe read/write backends (run OFF the big kernel lock under
-  // pipes_lock_; see Syscall).
-  Result<uint64_t> SysPipeRead(uint64_t fd, uint64_t uaddr, uint64_t len);
-  Result<uint64_t> SysPipeWrite(uint64_t fd, uint64_t uaddr, uint64_t len);
+  // Pipe read/write backends for SysRead/SysWrite on an already resolved
+  // pipe fd (under pipes_lock_). kEBadF once the pipe is gone.
+  Result<uint64_t> PipeRead(Task& task, const OpenFile& file, uint64_t uaddr,
+                            uint64_t len);
+  Result<uint64_t> PipeWrite(Task& task, const OpenFile& file, uint64_t uaddr,
+                             uint64_t len);
   Result<uint64_t> SysBrk(uint64_t delta);
   Result<uint64_t> SysSigaction(uint64_t sig, uint64_t handler);
   Result<uint64_t> SysKill(uint64_t pid, uint64_t sig,
@@ -461,14 +458,17 @@ class Kernel {
   Result<uint64_t> SysWaitPid(uint64_t pid);
   Result<uint64_t> SysDup(uint64_t fd);
   Result<uint64_t> SysSocket(uint64_t domain);
-  Result<uint64_t> SysSend(uint64_t fd, uint64_t uaddr, uint64_t len);
-  Result<uint64_t> SysRecv(uint64_t fd, uint64_t uaddr, uint64_t len);
-  // Net-stack syscall backends (run OFF the big kernel lock; see Syscall).
+  // Net-stack syscall backends (the net stack's own locks).
   Result<uint64_t> SysNetBind(uint64_t fd, uint64_t port, uint64_t flags);
   Result<uint64_t> SysNetAccept(uint64_t fd);
   Result<uint64_t> SysNetSend(uint64_t fd, uint64_t uaddr, uint64_t len,
                               uint64_t dest);
   Result<uint64_t> SysNetRecv(uint64_t fd, uint64_t uaddr, uint64_t len);
+  // Send/recv on net socket `sid`, already resolved from an fd (shared by
+  // SysNetSend/SysNetRecv and the socket cases of SysWrite/SysRead).
+  Result<uint64_t> NetSend(Task& task, int sid, uint64_t uaddr, uint64_t len,
+                           uint64_t dest);
+  Result<uint64_t> NetRecv(Task& task, int sid, uint64_t uaddr, uint64_t len);
   // Event-queue syscall backends (src/kernel/evq.cc; run under evq_lock_ +
   // per-queue locks, never under the big kernel lock).
   Result<uint64_t> SysEvqCreate();
@@ -485,7 +485,8 @@ class Kernel {
   // ReleaseFile's teardown half for profiling fds (called OUTSIDE
   // files_lock_): stops the session if still active.
   void DestroyProfSession(int prof_id);
-  // The prof session behind fd `fd` of the current task, or -1.
+  // The prof session behind fd `fd` of the current task, or -1 (called by
+  // handlers, under HandleSyscall's epoch guard).
   int ProfIdForFd(uint64_t fd);
 
   // The net stack's ready callback: fans a socket-id readiness edge out to
@@ -498,27 +499,9 @@ class Kernel {
   void DropSocketWatches(int sid);
 
   // --- Internals ---------------------------------------------------------------
-  // Which lock domain a syscall dispatches under (the per-subsystem locking
-  // split the ROADMAP's fine-grained-locking item asked for, completed in
-  // PR 5): the big kernel lock (scheduler + unknown numbers only), the net
-  // stack's own locks, or one of the subsystem leaf locks. The routing
-  // decision is carried in args[5] so handlers never fall through to state
-  // another domain guards.
-  enum class SyscallRoute : uint64_t {
-    kBkl = 0,      // Legacy/fallback: unknown syscall numbers.
-    kNet = 1,      // Net-stack sockets: the net stack's own lock classes.
-    kPipes = 2,    // Pipe read/write: pipes_lock_.
-    kVfs = 3,      // Ramfs open/close/read/write/lseek/unlink/dup: vfs_lock_.
-    kTasks = 4,    // fork/exec/exit/wait/kill/brk/getpid/...: tasks_lock_.
-    kSockets = 5,  // Legacy loopback sockets: sockets_lock_.
-    kEvq = 6,      // Event queues: evq_lock_ + per-queue locks.
-  };
-  SyscallRoute RouteSyscall(Sys number, uint64_t a0);
-  // The net socket id behind fd `a0` of the current task, or -1.
+  // The net socket / event queue id behind fd `fd` of the current task, or
+  // -1 (called by handlers, under HandleSyscall's epoch guard).
   int NetSocketIdForFd(uint64_t fd);
-  // The pipe id behind fd `a0` of the current task, or -1.
-  int PipeIdForFd(uint64_t fd);
-  // The event queue id behind fd `a0` of the current task, or -1.
   int EvqIdForFd(uint64_t fd);
   // Appends to the open-file table under files_lock_; returns the index.
   // Grows the table copy-on-update (publish new, epoch-retire old).
@@ -539,6 +522,9 @@ class Kernel {
   // files_lock_.
   Result<OpenFile*> FileForFd(Task& task, uint64_t fd);
   Result<Inode*> LookupInode(const std::string& name, bool create);
+  // Drops one reference; the last one unpublishes and retires the file and
+  // tears down what it names (net socket, event queue, profiling session,
+  // or its end of a pipe).
   Status ReleaseFile(int file_index);
   Result<int> CreateTask(int parent_pid);
   void DeliverPendingSignals(Task& task, svaos::InterruptContext* icontext);
@@ -553,8 +539,8 @@ class Kernel {
   // builds by smp::LockOrderChecker). Rank order — a thread may only
   // acquire downward in this list, never upward:
   //
-  //   bkl_ -> vfs_lock_ -> tasks_lock_ -> sockets_lock_ -> pipes_lock_
-  //        -> evq_lock_ -> files_lock_ -> address-space locks (src/mm)
+  //   bkl_ -> vfs_lock_ -> tasks_lock_ -> pipes_lock_ -> evq_lock_
+  //        -> files_lock_ -> address-space locks (src/mm)
   //
   // Address-space locks (one per task, rank kAddrSpace) sit at the BOTTOM:
   // user-copy page faults fire while vfs/pipes/files locks are held, so the
@@ -568,9 +554,9 @@ class Kernel {
   // copy loops under vfs_lock_/pipes_lock_ — and never call back into
   // kernel locks, so they are deliberately unranked.
   //
-  // The big kernel lock, demoted: after the PR 3-5 split it serializes only
-  // the cooperative scheduler (Yield), the PokeUser/PeekUser host helpers,
-  // and unknown syscall numbers. No steady-state syscall takes it.
+  // The big kernel lock, demoted: it serializes only the cooperative
+  // scheduler (Yield) and the PokeUser/PeekUser host helpers. No syscall
+  // takes it.
   mutable smp::OrderedSpinLock bkl_{smp::LockRank::kBkl};
   // Guards ramfs MUTATION: inodes_, namespace_, next_ino_, inode block
   // lists and sizes, regular-file OpenFile offsets, and dir_index_
@@ -584,12 +570,9 @@ class Kernel {
   // stats counters) uses std::atomic_ref instead, so hot paths touching
   // only their own task never take it.
   mutable smp::OrderedSpinLock tasks_lock_{smp::LockRank::kTasks};
-  // Guards the legacy loopback socket table (sockets_) and per-socket skb
-  // queues. The net stack's sockets never touch this.
-  mutable smp::OrderedSpinLock sockets_lock_{smp::LockRank::kSockets};
-  // Guards the pipes_ vector and every Pipe's ring state. The copy loops
-  // under it take metapool stripe and allocator locks (external classes,
-  // see above).
+  // Guards the pipes_ vector (slot publication and reset) and every Pipe's
+  // ring state and open_ends. The copy loops under it take metapool stripe
+  // and allocator locks (external classes, see above).
   mutable smp::OrderedSpinLock pipes_lock_{smp::LockRank::kPipes};
   // Guards the event-queue table (evqs_) and the sid -> watching-queues
   // reverse map (evq_watchers_). Sits above files_lock_ so the wait path
@@ -599,9 +582,9 @@ class Kernel {
   mutable smp::OrderedSpinLock evq_lock_{smp::LockRank::kEvq};
   // The fd-table WRITER lock: open-file table growth/append, fd-slot
   // allocation and teardown, and refcounts. Writer-only since the epoch
-  // conversion — fd -> file READS (SysRead/SysWrite/SysSend/SysRecv and
-  // the route probes) resolve through the epoch-published tables under an
-  // EpochGuard and never take it. Nothing ranked is acquired while
+  // conversion — fd -> file READS (SysRead/SysWrite/SysNetSend/SysNetRecv
+  // and the evq fd probes) resolve through the epoch-published tables under
+  // an EpochGuard and never take it. Nothing ranked is acquired while
   // holding it; retired OpenFile objects outlive pinned readers via the
   // epoch grace period.
   mutable smp::OrderedSpinLock files_lock_{smp::LockRank::kFiles};
@@ -618,7 +601,6 @@ class Kernel {
   runtime::PoolAllocator* inode_cache_ = nullptr;
   runtime::PoolAllocator* file_cache_ = nullptr;
   runtime::PoolAllocator* pipe_cache_ = nullptr;
-  runtime::PoolAllocator* socket_cache_ = nullptr;
   runtime::PoolAllocator* evq_cache_ = nullptr;
   runtime::PoolAllocator* prof_cache_ = nullptr;
   runtime::MetaPool* user_pool_ = nullptr;
@@ -665,8 +647,10 @@ class Kernel {
   std::shared_ptr<ProfTickGuard> prof_tick_guard_ =
       std::make_shared<ProfTickGuard>();
   std::map<int, Inode> inodes_;             // ino -> inode
+  // Pipes (index = pipe id). Ids are append-only and never reused: a freed
+  // pipe's slot stays null, so a reader still holding a closed end's
+  // OpenFile finds null (kEBadF), never another pipe.
   std::vector<std::unique_ptr<Pipe>> pipes_;
-  std::vector<std::unique_ptr<Socket>> sockets_;
   std::map<std::string, int> namespace_;    // path -> ino
   std::atomic<DirIndex*> dir_index_{nullptr};
   std::atomic<TaskIndex*> task_index_{nullptr};

@@ -222,13 +222,10 @@ void Kernel::DestroyProfSession(int prof_id) {
 }
 
 int Kernel::ProfIdForFd(uint64_t fd) {
-  // Routing probe: runs before HandleSyscall pins its epoch, so it takes a
-  // guard of its own around the lock-free lookup.
   Task* task = current_task();
   if (task == nullptr) {
     return -1;
   }
-  smp::EpochGuard guard;
   auto file = FileForFd(*task, fd);
   return file.ok() ? (*file)->prof_id : -1;
 }

@@ -13,8 +13,6 @@ const char* LockRankName(LockRank rank) {
       return "vfs";
     case LockRank::kTasks:
       return "tasks";
-    case LockRank::kSockets:
-      return "sockets";
     case LockRank::kPipes:
       return "pipes";
     case LockRank::kEvq:
@@ -38,8 +36,8 @@ void LockOrderChecker::FatalInversion(LockRank incoming, const uint8_t* held,
                  static_cast<unsigned>(held[i]));
   }
   std::fprintf(stderr,
-               "]; required order is bkl -> vfs -> tasks -> sockets -> pipes "
-               "-> evq -> files -> addrspace (docs/CONCURRENCY.md)\n");
+               "]; required order is bkl -> vfs -> tasks -> pipes -> evq -> "
+               "files -> addrspace (docs/CONCURRENCY.md)\n");
   std::abort();
 }
 

@@ -8,7 +8,6 @@ namespace sva::trace {
 const char* HistName(HistId id) {
   switch (id) {
     case HistId::kSyscallNs: return "sva_syscall_ns";
-    case HistId::kBklWaitNs: return "sva_bkl_wait_ns";
     case HistId::kPipesWaitNs: return "sva_pipes_lock_wait_ns";
     case HistId::kVfsWaitNs: return "sva_vfs_lock_wait_ns";
     case HistId::kTasksWaitNs: return "sva_tasks_lock_wait_ns";

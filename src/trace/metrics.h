@@ -25,7 +25,6 @@ namespace sva::trace {
 // sentinel for span tracepoints that only feed the ring.
 enum class HistId : uint8_t {
   kSyscallNs = 0,     // Minikernel syscall, entry to exit.
-  kBklWaitNs,         // Big-kernel-lock acquisition wait.
   kPipesWaitNs,       // pipes_lock_ acquisition wait (the leaf-lock axis).
   kVfsWaitNs,         // vfs_lock_ acquisition wait.
   kTasksWaitNs,       // tasks_lock_ acquisition wait.

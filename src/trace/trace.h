@@ -60,7 +60,7 @@ enum class EventId : uint16_t {
   kTlbShootdown,    // a0 = asid, a1 = vaddr (0 for a full-asid flush)
   // Minikernel.
   kSyscall,    // a0 = syscall number
-  kLockWait,   // a0 = lock id (kLockBkl / kLockPipes / kLockVfs / kLockTasks)
+  kLockWait,   // a0 = lock id (kLockPipes / kLockVfs / kLockTasks)
   kPageFault,  // demand-paging fault span: a0 = vaddr, a1 = 1 if write
   kFork,       // fork span: a0 = parent pid
   kExec,       // execve span: a0 = pid
@@ -84,7 +84,6 @@ enum class EventId : uint16_t {
 const char* EventName(EventId id);
 
 // Lock ids carried in kLockWait events.
-inline constexpr uint64_t kLockBkl = 0;
 inline constexpr uint64_t kLockPipes = 1;
 inline constexpr uint64_t kLockVfs = 2;
 inline constexpr uint64_t kLockTasks = 3;

@@ -5,6 +5,7 @@
 // failure.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,8 +31,9 @@ class StressHarness {
     return kUserVirtualBase +
            static_cast<uint64_t>(kernel_->current_pid()) * 0x100000 + offset;
   }
-  uint64_t Call(Sys n, uint64_t a0 = 0, uint64_t a1 = 0, uint64_t a2 = 0) {
-    auto r = kernel_->Syscall(n, a0, a1, a2);
+  uint64_t Call(Sys n, uint64_t a0 = 0, uint64_t a1 = 0, uint64_t a2 = 0,
+                uint64_t a3 = 0) {
+    auto r = kernel_->Syscall(n, a0, a1, a2, a3);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() ? *r : ~uint64_t{0};
   }
@@ -93,13 +95,16 @@ TEST(KernelStressTest, PipeSocketInterleaving) {
   ASSERT_EQ(h.Call(Sys::kPipe, h.user(0)), 0u);
   uint32_t fds[2];
   ASSERT_TRUE(h.k().PeekUser(h.user(0), fds, 8).ok());
-  uint64_t sock = h.Call(Sys::kSocket);
+  uint64_t sock =
+      h.Call(Sys::kSocket, static_cast<uint64_t>(SocketDomain::kDatagram));
+  ASSERT_EQ(h.Call(Sys::kBind, sock, 9000), 0u);
+  const uint64_t self = (static_cast<uint64_t>(net::kLoopbackIp) << 16) | 9000;
   std::vector<char> payload(777, 'p');
   ASSERT_TRUE(h.k().PokeUser(h.user(64), payload.data(), payload.size()).ok());
   for (int round = 0; round < 300; ++round) {
     ASSERT_EQ(h.Call(Sys::kWrite, fds[1], h.user(64), payload.size()),
               payload.size());
-    ASSERT_EQ(h.Call(Sys::kSend, sock, h.user(64), payload.size()),
+    ASSERT_EQ(h.Call(Sys::kSend, sock, h.user(64), payload.size(), self),
               payload.size());
     ASSERT_EQ(h.Call(Sys::kRead, fds[0], h.user(4096), payload.size()),
               payload.size());
@@ -107,6 +112,84 @@ TEST(KernelStressTest, PipeSocketInterleaving) {
               payload.size());
   }
   EXPECT_EQ(h.k().pools().stats().total_failed(), 0u);
+}
+
+// pipe() + close() must return every pipe resource: the 16 KiB ring, the
+// pipe_inode_info object, and the Pipe itself; 5000 cycles would otherwise
+// hold 80 MB of rings.
+TEST(KernelStressTest, PipeCloseReleasesRingAndInode) {
+  StressHarness h;
+  runtime::MetaPool* rings = h.k().pools().FindPool("MPk.kmalloc-16384");
+  runtime::MetaPool* inodes = h.k().pools().FindPool("MPc.pipe_inode_info");
+  ASSERT_NE(rings, nullptr);
+  ASSERT_NE(inodes, nullptr);
+  const size_t rings_before = rings->live_objects();
+  const size_t inodes_before = inodes->live_objects();
+  for (int round = 0; round < 5000; ++round) {
+    ASSERT_EQ(h.Call(Sys::kPipe, h.user(0)), 0u);
+    uint32_t fds[2];
+    ASSERT_TRUE(h.k().PeekUser(h.user(0), fds, 8).ok());
+    if (round % 2 == 0) {
+      ASSERT_EQ(h.Call(Sys::kWrite, fds[1], h.user(64), 64), 64u);
+    }
+    // Alternate which end goes first; a dup'd end keeps the pipe alive.
+    uint64_t first = round % 3 == 0 ? fds[1] : fds[0];
+    uint64_t second = first == fds[0] ? fds[1] : fds[0];
+    uint64_t extra = h.Call(Sys::kDup, first);
+    ASSERT_EQ(h.Call(Sys::kClose, first), 0u);
+    ASSERT_EQ(h.Call(Sys::kClose, second), 0u);
+    ASSERT_EQ(inodes->live_objects(), inodes_before + 1);
+    ASSERT_EQ(h.Call(Sys::kClose, extra), 0u);
+  }
+  EXPECT_EQ(rings->live_objects(), rings_before);
+  EXPECT_EQ(inodes->live_objects(), inodes_before);
+  EXPECT_EQ(h.k().pools().stats().total_failed(), 0u);
+}
+
+// A close racing a read of the same pipe: the read resolves the fd
+// lock-free, so it may still hold the read end's file after both ends are
+// released. It must then see the freed pipe's slot empty (kEBadF), never
+// the freed ring. Under TSan this also checks the slot reset is ordered
+// against the ring accesses.
+TEST(KernelStressTest, PipeCloseDuringReadGetsDataOrEBadF) {
+  constexpr uint64_t kEBadF = static_cast<uint64_t>(-9);
+  StressHarness h;
+  std::vector<char> payload(32, 'r');
+  ASSERT_TRUE(h.k().PokeUser(h.user(64), payload.data(), payload.size()).ok());
+  h.k().svaos().ConfigureCpus(2);
+  int got_data = 0;
+  int got_ebadf = 0;
+  for (int round = 0; round < 300; ++round) {
+    ASSERT_EQ(h.Call(Sys::kPipe, h.user(0)), 0u);
+    uint32_t fds[2];
+    ASSERT_TRUE(h.k().PeekUser(h.user(0), fds, 8).ok());
+    ASSERT_EQ(h.Call(Sys::kWrite, fds[1], h.user(64), payload.size()),
+              payload.size());
+    std::atomic<bool> go{false};
+    uint64_t result = 0;
+    std::thread reader([&] {
+      smp::ScopedCpu bind(1);
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      result = h.Call(Sys::kRead, fds[0], h.user(4096), payload.size());
+    });
+    {
+      smp::ScopedCpu bind(0);
+      go.store(true, std::memory_order_release);
+      ASSERT_EQ(h.Call(Sys::kClose, fds[1]), 0u);
+      ASSERT_EQ(h.Call(Sys::kClose, fds[0]), 0u);
+    }
+    reader.join();
+    if (result == payload.size()) {
+      ++got_data;
+    } else {
+      ASSERT_EQ(result, kEBadF) << "round " << round;
+      ++got_ebadf;
+    }
+  }
+  EXPECT_EQ(got_data + got_ebadf, 300);
+  EXPECT_EQ(h.k().pools().stats().total_failed(), 0u);
+  EXPECT_TRUE(h.k().pools().violations().empty());
 }
 
 TEST(KernelStressTest, SignalStorm) {

@@ -2,13 +2,25 @@
 
 #include <cstring>
 #include <cctype>
+#include <thread>
+#include <vector>
 
 #include "src/kernel/kernel.h"
+#include "src/net/client.h"
 #include "src/smp/lock_order.h"
+#include "src/smp/percpu.h"
 #include "src/trace/profiler.h"
 
 namespace sva::kernel {
 namespace {
+
+constexpr uint64_t kEBadF = static_cast<uint64_t>(-9);
+constexpr uint64_t kEAgain = static_cast<uint64_t>(-11);
+
+// kSend's destination word: (ip << 16) | port, here the lo device.
+uint64_t LoopbackDest(uint16_t port) {
+  return (static_cast<uint64_t>(net::kLoopbackIp) << 16) | port;
+}
 
 // Boots a kernel in the given mode and exposes syscall shorthand.
 class KernelHarness {
@@ -29,8 +41,9 @@ class KernelHarness {
   }
 
   // Syscall that must succeed at the transport level.
-  uint64_t Call(Sys n, uint64_t a0 = 0, uint64_t a1 = 0, uint64_t a2 = 0) {
-    auto r = kernel_->Syscall(n, a0, a1, a2);
+  uint64_t Call(Sys n, uint64_t a0 = 0, uint64_t a1 = 0, uint64_t a2 = 0,
+                uint64_t a3 = 0) {
+    auto r = kernel_->Syscall(n, a0, a1, a2, a3);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() ? *r : ~uint64_t{0};
   }
@@ -185,17 +198,77 @@ TEST_P(KernelModesTest, SignalDeliveryOnSyscallReturn) {
 
 TEST_P(KernelModesTest, SocketsSendRecv) {
   KernelHarness h(GetParam());
-  uint64_t fd = h.Call(Sys::kSocket);
+  uint64_t fd =
+      h.Call(Sys::kSocket, static_cast<uint64_t>(SocketDomain::kDatagram));
   ASSERT_LT(fd, 16u);
+  ASSERT_EQ(h.Call(Sys::kBind, fd, 9000), 0u);
   const char msg[] = "GET / HTTP/1.0";
   ASSERT_TRUE(h.k().PokeUser(h.user(64), msg, sizeof(msg)).ok());
-  EXPECT_EQ(h.Call(Sys::kSend, fd, h.user(64), sizeof(msg)), sizeof(msg));
+  EXPECT_EQ(h.Call(Sys::kSend, fd, h.user(64), sizeof(msg), LoopbackDest(9000)),
+            sizeof(msg));
   EXPECT_EQ(h.Call(Sys::kRecv, fd, h.user(256), sizeof(msg)), sizeof(msg));
   char back[sizeof(msg)] = {};
   ASSERT_TRUE(h.k().PeekUser(h.user(256), back, sizeof(msg)).ok());
   EXPECT_STREQ(back, msg);
-  // Empty queue recv returns 0.
-  EXPECT_EQ(h.Call(Sys::kRecv, fd, h.user(256), 16), 0u);
+  // An empty queue would block: kEAgain (0 is EOF after a stream's FIN).
+  EXPECT_EQ(h.Call(Sys::kRecv, fd, h.user(256), 16), kEAgain);
+}
+
+TEST_P(KernelModesTest, UnknownSyscallIsNotFound) {
+  KernelHarness h(GetParam());
+  const Sys unknown = static_cast<Sys>(999);
+  // Kernel::Syscall takes no lock: an unknown number touches no state, so
+  // it validates no ranked acquisition at all.
+  smp::LockOrderChecker::set_enabled(true);
+  uint64_t checked = smp::LockOrderChecker::acquisitions_checked();
+  EXPECT_EQ(h.k().Syscall(unknown).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(smp::LockOrderChecker::acquisitions_checked(), checked);
+  smp::LockOrderChecker::set_enabled(
+      smp::LockOrderChecker::kEnabledByDefault);
+
+  constexpr unsigned kThreads = 4;
+  h.k().svaos().ConfigureCpus(kThreads);
+  std::vector<int> not_found(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&h, &not_found, unknown, t] {
+      smp::ScopedCpu bind(t);
+      for (int i = 0; i < 200; ++i) {
+        if (h.k().Syscall(unknown, i).status().code() ==
+            StatusCode::kNotFound) {
+          ++not_found[t];
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) {
+    w.join();
+  }
+  for (unsigned t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(not_found[t], 200) << "thread " << t;
+  }
+  EXPECT_EQ(h.Call(Sys::kGetPid), 1u);  // The kernel is unharmed.
+}
+
+TEST_P(KernelModesTest, SignalFromAnotherTaskDeliveredOnPipeWrite) {
+  KernelHarness h(GetParam());
+  ASSERT_EQ(h.Call(Sys::kSigaction, 10, /*handler=*/77), 0u);
+  ASSERT_EQ(h.Call(Sys::kPipe, h.user(0)), 0u);
+  uint32_t fds[2] = {0, 0};
+  ASSERT_TRUE(h.k().PeekUser(h.user(0), fds, 8).ok());
+  ASSERT_EQ(h.Call(Sys::kFork), 2u);
+  ASSERT_TRUE(h.k().Yield().ok());
+  ASSERT_EQ(h.k().current_pid(), 2);
+  EXPECT_EQ(h.Call(Sys::kKill, 1, 10), 0u);
+  ASSERT_TRUE(h.k().Yield().ok());
+  ASSERT_EQ(h.k().current_pid(), 1);
+  Task* init = h.k().FindTask(1);
+  ASSERT_NE(init, nullptr);
+  EXPECT_EQ(init->signals_delivered, 0u);  // Still pending.
+  // Any syscall return delivers, including a pipe write.
+  EXPECT_EQ(h.Call(Sys::kWrite, fds[1], h.user(64), 8), 8u);
+  EXPECT_EQ(init->signals_delivered, 1u);
+  EXPECT_EQ(init->pending_signals, 0u);
 }
 
 TEST_P(KernelModesTest, SbrkMovesBreak) {
@@ -366,35 +439,40 @@ TEST(KernelSafetyTest, SafeModeRegistersAllocationsInMetapools) {
   EXPECT_EQ(h.k().pools().stats().total_failed(), 0u);
 }
 
-// Drives one syscall from every dispatch route (vfs, tasks, sockets, pipes,
-// net, plus the scheduler and host helpers on the BKL) with the lock-order
-// checker force-enabled: any acquisition that violates the documented
-// hierarchy (bkl -> vfs -> tasks -> sockets -> pipes -> files) aborts the
-// process, so passing IS the assertion. Runs in every build type — tier-1
-// is RelWithDebInfo, where the checker is compiled in but default-off.
-TEST(KernelLockOrderTest, AllRoutesRespectTheHierarchy) {
+// Drives read/write/send/recv over every fd kind (regular file, pipe,
+// datagram socket, accepted stream connection), evq_wait, the task
+// lifecycle, and the scheduler and host helpers on the BKL, with the
+// lock-order checker force-enabled: any acquisition that violates the
+// documented hierarchy (bkl -> vfs -> tasks -> pipes -> evq -> files)
+// aborts the process, so passing IS the assertion. Runs in every build
+// type — tier-1 is RelWithDebInfo, where the checker is compiled in but
+// default-off.
+TEST(KernelLockOrderTest, EveryFdKindRespectsTheHierarchy) {
   smp::LockOrderChecker::set_enabled(true);
   uint64_t before = smp::LockOrderChecker::acquisitions_checked();
   {
     KernelHarness h(KernelMode::kSvaSafe);
-
-    // vfs route: open/write/lseek/read/dup/unlink/close on a regular file.
-    ASSERT_TRUE(h.k().PokeUserString(h.user(0), "/tmp/order").ok());
-    uint64_t fd = h.Call(Sys::kOpen, h.user(0), 1);
     const char payload[] = "lock order";
     ASSERT_TRUE(h.k().PokeUser(h.user(256), payload, sizeof(payload)).ok());
+
+    // Regular file: open/write/lseek/read/dup/unlink/close; send and recv
+    // are kEBadF on it.
+    ASSERT_TRUE(h.k().PokeUserString(h.user(0), "/tmp/order").ok());
+    uint64_t fd = h.Call(Sys::kOpen, h.user(0), 1);
     EXPECT_EQ(h.Call(Sys::kWrite, fd, h.user(256), sizeof(payload)),
               sizeof(payload));
     EXPECT_EQ(h.Call(Sys::kLseek, fd, 0, 0), 0u);
     EXPECT_EQ(h.Call(Sys::kRead, fd, h.user(512), sizeof(payload)),
               sizeof(payload));
+    EXPECT_EQ(h.Call(Sys::kSend, fd, h.user(256), 8), kEBadF);
+    EXPECT_EQ(h.Call(Sys::kRecv, fd, h.user(512), 8), kEBadF);
     uint64_t dup_fd = h.Call(Sys::kDup, fd);
     EXPECT_EQ(h.Call(Sys::kClose, dup_fd), 0u);
     EXPECT_EQ(h.Call(Sys::kClose, fd), 0u);
     EXPECT_EQ(h.Call(Sys::kUnlink, h.user(0)), 0u);
 
-    // tasks route: fork/sigaction/kill (self-delivery on return)/brk/
-    // exec/exit/wait — the full lifecycle.
+    // Task lifecycle: fork/sigaction/kill (self-delivery on return)/brk/
+    // exec/exit/wait.
     EXPECT_EQ(h.Call(Sys::kGetPid), 1u);
     h.Call(Sys::kBrk, 4096);
     uint64_t child = h.Call(Sys::kFork);
@@ -407,26 +485,52 @@ TEST(KernelLockOrderTest, AllRoutesRespectTheHierarchy) {
     }
     EXPECT_EQ(h.Call(Sys::kExit, 0), 0u);
     EXPECT_EQ(h.Call(Sys::kWaitPid, child), child);
+    // execve reset the image; put the payload back.
+    ASSERT_TRUE(h.k().PokeUser(h.user(256), payload, sizeof(payload)).ok());
 
-    // pipes route: create + write + read through a pipe pair.
+    // Pipe: write/read, kEBadF for send/recv, then closing both ends frees
+    // the pipe (pipes_lock_ from ReleaseFile).
     ASSERT_EQ(h.Call(Sys::kPipe, h.user(1024)), 0u);
     uint32_t pipe_fds[2] = {0, 0};
     ASSERT_TRUE(h.k().PeekUser(h.user(1024), pipe_fds, 8).ok());
     EXPECT_EQ(h.Call(Sys::kWrite, pipe_fds[1], h.user(256), 8), 8u);
     EXPECT_EQ(h.Call(Sys::kRead, pipe_fds[0], h.user(512), 8), 8u);
+    EXPECT_EQ(h.Call(Sys::kSend, pipe_fds[1], h.user(256), 8), kEBadF);
+    EXPECT_EQ(h.Call(Sys::kRecv, pipe_fds[0], h.user(512), 8), kEBadF);
+    EXPECT_EQ(h.Call(Sys::kClose, pipe_fds[0]), 0u);
+    EXPECT_EQ(h.Call(Sys::kClose, pipe_fds[1]), 0u);
 
-    // sockets route: legacy loopback send/recv.
-    uint64_t sock = h.Call(
-        Sys::kSocket, static_cast<uint64_t>(SocketDomain::kLegacyLoopback));
-    EXPECT_EQ(h.Call(Sys::kSend, sock, h.user(256), 8), 8u);
-    EXPECT_EQ(h.Call(Sys::kRecv, sock, h.user(512), 8), 8u);
-
-    // net route: datagram socket bind + send-to-self over loopback.
+    // Datagram socket bound on lo: send to self, then recv and read.
     uint64_t udp = h.Call(Sys::kSocket,
                           static_cast<uint64_t>(SocketDomain::kDatagram));
     EXPECT_EQ(h.Call(Sys::kBind, udp, 4242), 0u);
+    EXPECT_EQ(h.Call(Sys::kSend, udp, h.user(256), 8, LoopbackDest(4242)), 8u);
+    EXPECT_EQ(h.Call(Sys::kSend, udp, h.user(256), 8, LoopbackDest(4242)), 8u);
+    EXPECT_EQ(h.Call(Sys::kRecv, udp, h.user(512), 8), 8u);
+    EXPECT_EQ(h.Call(Sys::kRead, udp, h.user(512), 8), 8u);
+
+    // Accepted stream connection, watched by an event queue: write/send/
+    // read/recv plus evq_wait.
+    uint64_t listener = h.Call(
+        Sys::kSocket, static_cast<uint64_t>(SocketDomain::kListener));
+    EXPECT_EQ(h.Call(Sys::kBind, listener, 80), 0u);
+    net::LoopbackClient client(*h.k().net());
+    auto conn = client.OpenStream(80);
+    ASSERT_TRUE(conn.ok());
+    uint64_t stream = h.Call(Sys::kAccept, listener);
+    uint64_t evq = h.Call(Sys::kEvqCreate);
+    EXPECT_EQ(h.Call(Sys::kEvqCtl, evq, kEvqCtlAdd, stream, 7), 0u);
+    ASSERT_TRUE(client.SendStream(*conn, "pingpong").ok());
+    EXPECT_EQ(h.Call(Sys::kEvqWait, evq, h.user(2048), 4, 0), 1u);
+    EXPECT_EQ(h.Call(Sys::kRead, stream, h.user(512), 4), 4u);
+    EXPECT_EQ(h.Call(Sys::kRecv, stream, h.user(512), 4), 4u);
+    EXPECT_EQ(h.Call(Sys::kWrite, stream, h.user(256), 4), 4u);
+    EXPECT_EQ(h.Call(Sys::kSend, stream, h.user(256), 4), 4u);
+    EXPECT_EQ(client.TakeStream(*conn), "locklock");
+    EXPECT_EQ(h.Call(Sys::kClose, evq), 0u);
+    EXPECT_EQ(h.Call(Sys::kClose, stream), 0u);
   }
-  // The routes above really exercised ranked locks under the checker.
+  // The calls above really exercised ranked locks under the checker.
   EXPECT_GT(smp::LockOrderChecker::acquisitions_checked(), before);
   EXPECT_EQ(smp::LockOrderChecker::held_depth(), 0);
   smp::LockOrderChecker::set_enabled(

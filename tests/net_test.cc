@@ -332,10 +332,20 @@ constexpr uint64_t kEAddrInUse = static_cast<uint64_t>(-98);
 TEST_F(NetSyscallTest, ErrorPaths) {
   using kernel::Sys;
   EXPECT_EQ(Call(Sys::kSocket, 77), kEInval);  // Unknown domain.
+  EXPECT_EQ(Call(Sys::kSocket, 0), kEInval);   // No domain 0.
   EXPECT_EQ(Call(Sys::kBind, 999, 80), kEBadF);
   ASSERT_TRUE(kernel_->PokeUserString(user(), "/tmp/f").ok());
   uint64_t file = Call(Sys::kOpen, user(), 1);  // A non-net fd.
   EXPECT_EQ(Call(Sys::kBind, file, 80), kEBadF);
+  // send/recv are socket-only: a regular file and a pipe are kEBadF.
+  EXPECT_EQ(Call(Sys::kSend, file, user(), 8, Dest(kLoopbackIp, 7000)),
+            kEBadF);
+  EXPECT_EQ(Call(Sys::kRecv, file, user(), 8), kEBadF);
+  ASSERT_EQ(Call(Sys::kPipe, user() + 64), 0u);
+  uint32_t pipe_fds[2] = {0, 0};
+  ASSERT_TRUE(kernel_->PeekUser(user() + 64, pipe_fds, 8).ok());
+  EXPECT_EQ(Call(Sys::kSend, pipe_fds[1], user(), 8), kEBadF);
+  EXPECT_EQ(Call(Sys::kRecv, pipe_fds[0], user(), 8), kEBadF);
 
   uint64_t dgram = Call(
       Sys::kSocket, static_cast<uint64_t>(kernel::SocketDomain::kDatagram));

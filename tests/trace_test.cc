@@ -200,7 +200,7 @@ TEST_F(TraceTest, DisabledTracepointsRecordNothing) {
   }
   smp::SpinLock lock;
   {
-    TimedLockGuard guard(lock, HistId::kBklWaitNs, kLockBkl);
+    TimedLockGuard guard(lock, HistId::kPipesWaitNs, kLockPipes);
   }
   EXPECT_EQ(Tracer::Get().events_recorded(), 0u);
   EXPECT_TRUE(Tracer::Get().Drain().empty());
@@ -308,9 +308,9 @@ TEST_F(TraceTest, UncontendedLockWaitIsZero) {
   Tracer::Get().Enable(kModeMetrics);
   smp::SpinLock lock;
   {
-    TimedLockGuard guard(lock, HistId::kBklWaitNs, kLockBkl);
+    TimedLockGuard guard(lock, HistId::kPipesWaitNs, kLockPipes);
   }
-  HistogramSnapshot snap = Metrics::Get().hist(HistId::kBklWaitNs).Snapshot();
+  HistogramSnapshot snap = Metrics::Get().hist(HistId::kPipesWaitNs).Snapshot();
   EXPECT_EQ(snap.count, 1u);
   EXPECT_EQ(snap.buckets[0], 1u);
   EXPECT_EQ(snap.sum, 0u);
@@ -350,10 +350,10 @@ TEST_F(TraceTest, BlockedLockWaitIsTimed) {
     std::this_thread::yield();
   }
   {
-    TimedLockGuard guard(lock, HistId::kBklWaitNs, kLockBkl);
+    TimedLockGuard guard(lock, HistId::kPipesWaitNs, kLockPipes);
   }
   holder.join();
-  HistogramSnapshot snap = Metrics::Get().hist(HistId::kBklWaitNs).Snapshot();
+  HistogramSnapshot snap = Metrics::Get().hist(HistId::kPipesWaitNs).Snapshot();
   ASSERT_EQ(snap.count, 1u);
   // Bucket 20 starts at 2^19 ns (~0.52 ms).
   for (size_t b = 0; b < 20; ++b) {
