@@ -32,9 +32,12 @@ runtime::PoolAllocator* KernelAllocators::CreateCache(const std::string& name,
   if (safety_checks_) {
     // SVA-PORT(alloc): typed caches map to type-homogeneous, complete
     // metapools; identified to the safety-checking compiler at creation.
-    cache_pools_[raw] =
+    // A cache whose slots fit in a page gets the slab-indexed registry.
+    runtime::MetaPool* pool =
         pools_->GetPool(StrCat("MPc.", name), /*type_homogeneous=*/true,
                         object_size, /*complete=*/true);
+    pool->UseSlabRegistry(*raw);
+    cache_pools_[raw] = pool;
   }
   return raw;
 }

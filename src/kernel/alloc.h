@@ -33,6 +33,7 @@ class MachinePages : public runtime::PageProvider {
   explicit MachinePages(hw::Machine& machine) : machine_(machine) {}
   uint64_t AllocatePage() override { return machine_.AllocatePhysicalPage(); }
   uint64_t page_size() const override { return hw::kPageSize; }
+  uint64_t span() const override { return machine_.memory().size(); }
 
  private:
   hw::Machine& machine_;

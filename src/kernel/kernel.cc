@@ -689,11 +689,15 @@ Result<int> Kernel::CreateTask(int parent_pid) {
   task.fds = FdTablePtr(new FdTable(config_.max_fds));
   // SVA-PORT(svaos): a fresh address space — nothing committed; pages fault
   // in on first touch, and brk grows the frontier lazily toward the cap.
-  SVA_ASSIGN_OR_RETURN(
-      task.aspace,
-      vm_.CreateAddressSpace(UserBaseForPid(task.pid),
-                             config_.user_pages_per_task,
-                             config_.max_user_pages_per_task));
+  // Each failure below gives back what the steps before it took.
+  auto aspace = vm_.CreateAddressSpace(UserBaseForPid(task.pid),
+                                       config_.user_pages_per_task,
+                                       config_.max_user_pages_per_task);
+  if (!aspace.ok()) {
+    (void)allocators_->CacheFree(task_cache_, addr);
+    return aspace.status();
+  }
+  task.aspace = std::move(*aspace);
   task.brk = UserBaseForPid(task.pid) +
              config_.user_pages_per_task * hw::kPageSize / 2;
   if (config_.mode == KernelMode::kSvaSafe && user_pool_ != nullptr) {
@@ -702,10 +706,15 @@ Result<int> Kernel::CreateTask(int parent_pid) {
     // tile exactly with the per-pid stride, so neighbours never overlap. An
     // overlap with an existing registration is a kernel bug, not a
     // recoverable condition.
-    SVA_RETURN_IF_ERROR(pools_.RegisterUserspace(
+    Status reg = pools_.RegisterUserspace(
         *user_pool_, UserBaseForPid(task.pid),
         static_cast<uint64_t>(config_.max_user_pages_per_task) *
-            hw::kPageSize));
+            hw::kPageSize);
+    if (!reg.ok()) {
+      (void)vm_.Destroy(*task.aspace);
+      (void)allocators_->CacheFree(task_cache_, addr);
+      return reg;
+    }
   }
   int pid = task.pid;
   {
@@ -1548,7 +1557,19 @@ Result<uint64_t> Kernel::SysFork() {
                    static_cast<uint64_t>(parent.pid));
   Bump(StatsShard().forks);
   SVA_ASSIGN_OR_RETURN(int child_pid, CreateTask(parent.pid));
-  Task& child = *FindTask(child_pid);
+  Status built = BuildForkChild(parent, *FindTask(child_pid));
+  if (!built.ok()) {
+    // Never leave a half-built child in tasks_: unwind it as exit + waitpid
+    // would.
+    DiscardTask(child_pid);
+    return built;
+  }
+  trace::Emit(trace::EventId::kConnForked, static_cast<uint64_t>(child_pid),
+              static_cast<uint64_t>(parent.pid));
+  return static_cast<uint64_t>(child_pid);
+}
+
+Status Kernel::BuildForkChild(Task& parent, Task& child) {
   // Copy the fd table (bumping refs) and signal dispositions. A parent that
   // grew its table hands the child an equally grown one first.
   {
@@ -1602,9 +1623,29 @@ Result<uint64_t> Kernel::SysFork() {
     svaos_.SaveIntegerState(&child.cpu_state);
     svaos_.SaveFpState(&child.fp_state, /*always=*/false);
   }
-  trace::Emit(trace::EventId::kConnForked, static_cast<uint64_t>(child_pid),
-              static_cast<uint64_t>(parent.pid));
-  return static_cast<uint64_t>(child_pid);
+  return OkStatus();
+}
+
+void Kernel::DiscardTask(int pid) {
+  Task* task = FindTask(pid);
+  FdTable* fdt = task->fds.load_plain();
+  for (uint64_t fd = 0; fd < fdt->capacity; ++fd) {
+    int index;
+    {
+      std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
+      index = fdt->slots[fd].load(std::memory_order_relaxed);
+      fdt->slots[fd].store(-1, std::memory_order_release);
+    }
+    if (index >= 0) {
+      (void)ReleaseFile(index);
+    }
+  }
+  std::map<int, Task>::node_type node;
+  {
+    std::lock_guard<smp::OrderedSpinLock> guard(tasks_lock_);
+    node = DetachTaskLocked(tasks_.find(pid));
+  }
+  (void)ReapTask(std::move(node));
 }
 
 Result<uint64_t> Kernel::SysExecve(uint64_t path_uaddr) {
@@ -1670,11 +1711,7 @@ Result<uint64_t> Kernel::SysExit(uint64_t code) {
 }
 
 Result<uint64_t> Kernel::SysWaitPid(uint64_t pid) {
-  uint64_t child_addr;
-  uint64_t child_fd_block;
-  FdTable* child_fdt = nullptr;
-  std::shared_ptr<std::map<int, Task>::node_type> child_node;
-  std::unique_ptr<mm::AddressSpace> child_aspace;
+  std::map<int, Task>::node_type child;
   {
     // Validate and detach under one tasks_lock_ hold: two concurrent
     // waiters must not both reap the same child.
@@ -1686,50 +1723,61 @@ Result<uint64_t> Kernel::SysWaitPid(uint64_t pid) {
     if (!it->second.zombie) {
       return kEInval;  // Would block; the minikernel has no blocking waits.
     }
-    child_addr = it->second.addr;
-    child_fd_block = std::atomic_ref<uint64_t>(it->second.fd_block)
-                         .load(std::memory_order_relaxed);
-    child_aspace = std::move(it->second.aspace);
-    // Unpublish before reclaim: republish the task index without the pid,
-    // then EXTRACT the map node rather than erasing it — a current_task()
-    // reader pinned on the outgoing index snapshot still holds a Task*
-    // into this node, so the node (and the child's fd table) must survive
-    // the grace period.
-    RepublishTaskIndex(static_cast<int>(pid));
-    child_fdt = it->second.fds.exchange(nullptr);
-    child_node = std::make_shared<std::map<int, Task>::node_type>(
-        tasks_.extract(it));
+    child = DetachTaskLocked(it);
   }
-  if (child_fdt != nullptr) {
-    smp::RetireDelete(child_fdt);
+  SVA_RETURN_IF_ERROR(ReapTask(std::move(child)));
+  return pid;
+}
+
+std::map<int, Task>::node_type Kernel::DetachTaskLocked(
+    std::map<int, Task>::iterator it) {
+  // Unpublish before reclaim: republish the task index without the pid,
+  // then EXTRACT the map node rather than erasing it — a current_task()
+  // reader pinned on the outgoing index snapshot still holds a Task* into
+  // this node, so the node (and its fd table) must survive the grace
+  // period (ReapTask retires it).
+  RepublishTaskIndex(it->first);
+  return tasks_.extract(it);
+}
+
+Status Kernel::ReapTask(std::map<int, Task>::node_type node) {
+  const int pid = node.key();
+  Task& task = node.mapped();
+  const uint64_t addr = task.addr;
+  const uint64_t fd_block =
+      std::atomic_ref<uint64_t>(task.fd_block).load(std::memory_order_relaxed);
+  std::unique_ptr<mm::AddressSpace> aspace = std::move(task.aspace);
+  FdTable* fdt = task.fds.exchange(nullptr);
+  if (fdt != nullptr) {
+    smp::RetireDelete(fdt);
   }
   // Empty-bodied retiree: the capture alone keeps the Task node alive until
   // every reader that could have resolved the pid has unpinned.
-  smp::EpochDomain::Global().Retire([holder = std::move(child_node)] {});
+  smp::EpochDomain::Global().Retire(
+      [holder = std::make_shared<std::map<int, Task>::node_type>(
+           std::move(node))] {});
   // Tear the address space down outside tasks_lock_ (the AS lock ranks
   // above it anyway): unmap everything, release the frames for reuse —
   // COW-shared frames survive until the other side drops its reference —
   // and retire the asid.
-  if (child_aspace != nullptr) {
-    SVA_RETURN_IF_ERROR(vm_.Destroy(*child_aspace));
+  if (aspace != nullptr) {
+    SVA_RETURN_IF_ERROR(vm_.Destroy(*aspace));
   }
-  if (child_fd_block != 0) {
+  if (fd_block != 0) {
     // A grown fd table dies with the task, like free_fdtable at release —
     // deferred past a grace period because a lock-free FileForFd may still
     // be bounds-checking against the old block registration.
     KernelAllocators* allocators = allocators_.get();
-    smp::EpochDomain::Global().Retire([allocators, child_fd_block] {
-      (void)allocators->Kfree(child_fd_block);
+    smp::EpochDomain::Global().Retire([allocators, fd_block] {
+      (void)allocators->Kfree(fd_block);
     });
   }
   // Reap: free the task struct and its user pages' registration (external
   // lock classes; no kernel lock held).
   if (config_.mode == KernelMode::kSvaSafe && user_pool_ != nullptr) {
-    (void)pools_.DropObject(*user_pool_,
-                            UserBaseForPid(static_cast<int>(pid)));
+    (void)pools_.DropObject(*user_pool_, UserBaseForPid(pid));
   }
-  SVA_RETURN_IF_ERROR(allocators_->CacheFree(task_cache_, child_addr));
-  return pid;
+  return allocators_->CacheFree(task_cache_, addr);
 }
 
 Result<uint64_t> Kernel::SysDup(uint64_t fd) {

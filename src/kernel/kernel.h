@@ -527,6 +527,20 @@ class Kernel {
   // or its end of a pipe).
   Status ReleaseFile(int file_index);
   Result<int> CreateTask(int parent_pid);
+  // SysFork's body past CreateTask: fd table, dispositions, address space
+  // and CPU state of the parent copied into `child`.
+  Status BuildForkChild(Task& parent, Task& child);
+  // Unwinds a task that never ran (a fork that failed past CreateTask):
+  // releases its fd references, then detaches and reaps it.
+  void DiscardTask(int pid);
+  // Unpublishes the task at `it` from the pid index and extracts its map
+  // node. Caller holds tasks_lock_.
+  std::map<int, Task>::node_type DetachTaskLocked(
+      std::map<int, Task>::iterator it);
+  // Frees everything a detached task owns: fd table, address space, grown
+  // fd block, userspace registration and task struct. The node itself is
+  // retired past a grace period. Called with no kernel lock held.
+  Status ReapTask(std::map<int, Task>::node_type node);
   void DeliverPendingSignals(Task& task, svaos::InterruptContext* icontext);
   // Safe-mode check helpers (no-ops otherwise).
   Status LsCheckObject(runtime::MetaPool* pool, uint64_t addr);

@@ -214,15 +214,28 @@ Status VmManager::CloneEager(AddressSpace& parent, AddressSpace& child) {
     std::lock_guard<smp::OrderedSpinLock> guard(parent.lock_);
     auto entries = os_.machine().mmu().Entries(parent.asid_);
     copies.reserve(entries.size());
+    // A failure partway (out of frames) gives back every frame taken so far.
+    auto release_copies = [&] {
+      for (const Copied& c : copies) {
+        frames_.Release(c.paddr);
+      }
+    };
     for (const auto& [vaddr, pte] : entries) {
-      SVA_ASSIGN_OR_RETURN(uint64_t frame,
-                           frames_.Allocate(hw::FrameType::kUser));
-      SVA_RETURN_IF_ERROR(os_.machine().memory().Copy(
-          frame, FrameAddr(pte), hw::kPageSize));
+      Result<uint64_t> frame = frames_.Allocate(hw::FrameType::kUser);
+      if (!frame.ok()) {
+        release_copies();
+        return frame.status();
+      }
       // The copy is private, so it is born writable even if the source was
       // COW-shared.
-      copies.push_back({vaddr - parent.base_, frame,
+      copies.push_back({vaddr - parent.base_, *frame,
                         (pte.flags & ~hw::kPteCow) | hw::kPteWritable});
+      Status copied =
+          os_.machine().memory().Copy(*frame, FrameAddr(pte), hw::kPageSize);
+      if (!copied.ok()) {
+        release_copies();
+        return copied;
+      }
     }
   }
   {

@@ -20,6 +20,7 @@ NetStack::NetStack(hw::Machine& machine, svaos::SvaOS& svaos,
   if (pools_ != nullptr) {
     sock_metapool_ = pools_->GetPool("MPc.net_sock", /*type_homogeneous=*/true,
                                      /*element_size=*/128, /*complete=*/true);
+    sock_metapool_->UseSlabRegistry(sock_cache_);
   }
 }
 
@@ -540,12 +541,9 @@ Result<uint64_t> NetStack::Send(int sid, Skb skb, uint32_t payload_len,
     return InvalidArgument("net: payload exceeds one frame");
   }
 
-  // Frame the headers in front of the payload the caller already placed at
-  // kTxPayloadOffset.
-  std::vector<uint8_t> headers;
-  BuildHeaders(headers, protocol, kServerIp, dst_ip, src_port, dst_port,
-               payload_len);
-  skb.len = static_cast<uint32_t>(headers.size()) + payload_len;
+  // Frame the headers in place, in front of the payload the caller already
+  // placed at kTxPayloadOffset.
+  skb.len = static_cast<uint32_t>(HeaderBytes(protocol)) + payload_len;
   if (pools_ != nullptr) {
     // SVA-PORT(analysis): bounds check on the header store loop's derived
     // pointer before writing into the packet buffer.
@@ -556,8 +554,8 @@ Result<uint64_t> NetStack::Send(int sid, Skb skb, uint32_t payload_len,
       return check;
     }
   }
-  std::memcpy(machine_.memory().raw(skb.addr), headers.data(),
-              headers.size());
+  WriteHeaders(machine_.memory().raw(skb.addr), protocol, kServerIp, dst_ip,
+               src_port, dst_port, payload_len);
 
   if (dst_ip == kLoopbackIp || dst_ip == kServerIp) {
     // The lo device: the frame never touches the NIC; it re-enters the rx
@@ -581,10 +579,17 @@ Status NetStack::TransmitFrame(Skb skb) {
     return FailedPrecondition("net: tx ring full");
   }
   // Zero-copy tx: the descriptor points straight at the packet-pool buffer.
-  SVA_RETURN_IF_ERROR(mem.Write(at, 8, skb.addr));
-  SVA_RETURN_IF_ERROR(mem.Write(at + 8, 2, kSkbBufferBytes));
-  SVA_RETURN_IF_ERROR(mem.Write(at + 10, 2, skb.len));
-  SVA_RETURN_IF_ERROR(mem.Write(at + 12, 2, hw::kNicDescOwned));
+  // A descriptor that cannot be posted still gives the buffer back.
+  auto post = [&]() -> Status {
+    SVA_RETURN_IF_ERROR(mem.Write(at, 8, skb.addr));
+    SVA_RETURN_IF_ERROR(mem.Write(at + 8, 2, kSkbBufferBytes));
+    SVA_RETURN_IF_ERROR(mem.Write(at + 10, 2, skb.len));
+    return mem.Write(at + 12, 2, hw::kNicDescOwned);
+  };
+  if (Status posted = post(); !posted.ok()) {
+    (void)skb_pool_.Free(skb.addr);
+    return posted;
+  }
   tx_next_ = (tx_next_ + 1) % kTxRingSize;
   Status kick = IoWriteReg(hw::NicReg::kCommand,
                            static_cast<uint64_t>(hw::NicCommand::kTxKick));

@@ -45,16 +45,30 @@ uint16_t IpChecksum(const uint8_t* data, uint64_t len) {
   return static_cast<uint16_t>(~sum);
 }
 
+uint64_t HeaderBytes(uint8_t protocol) {
+  return kEthHeaderBytes + kIpHeaderBytes +
+         (protocol == kIpProtoUdp ? kUdpHeaderBytes : kStreamHeaderBytes);
+}
+
 void BuildHeaders(std::vector<uint8_t>& out, uint8_t protocol,
                   uint32_t src_ip, uint32_t dst_ip, uint16_t src_port,
                   uint16_t dst_port, uint32_t payload_len,
                   uint16_t stream_flags, uint32_t claimed_payload_override) {
+  out.resize(HeaderBytes(protocol));
+  WriteHeaders(out.data(), protocol, src_ip, dst_ip, src_port, dst_port,
+               payload_len, stream_flags, claimed_payload_override);
+}
+
+void WriteHeaders(uint8_t* out, uint8_t protocol, uint32_t src_ip,
+                  uint32_t dst_ip, uint16_t src_port, uint16_t dst_port,
+                  uint32_t payload_len, uint16_t stream_flags,
+                  uint32_t claimed_payload_override) {
   uint64_t transport = protocol == kIpProtoUdp ? kUdpHeaderBytes
                                                : kStreamHeaderBytes;
   uint32_t claimed = claimed_payload_override != 0 ? claimed_payload_override
                                                    : payload_len;
-  out.assign(kEthHeaderBytes + kIpHeaderBytes + transport, 0);
-  uint8_t* eth = out.data();
+  std::memset(out, 0, HeaderBytes(protocol));
+  uint8_t* eth = out;
   // Placeholder locally-administered MACs; the simulation routes by IP.
   std::memset(eth, 0x02, 12);
   Put16(eth + 12, kEthertypeIpv4);

@@ -54,10 +54,21 @@ struct FrameHeader {
   uint32_t payload_offset = 0;
 };
 
+// The eth+ip+transport header bytes in front of a `protocol` payload.
+uint64_t HeaderBytes(uint8_t protocol);
+
 // Serializes eth+ip+transport headers for `payload_len` payload bytes into
-// `out` (resized to payload_offset; caller appends or copies the payload).
-// `claimed_payload_override`, when nonzero, is written into the transport
-// length field instead of the truth — the malformed-packet injection knob.
+// the HeaderBytes(protocol) bytes at `out` (the caller places the payload
+// behind them). `claimed_payload_override`, when nonzero, is written into
+// the transport length field instead of the truth — the malformed-packet
+// injection knob.
+void WriteHeaders(uint8_t* out, uint8_t protocol, uint32_t src_ip,
+                  uint32_t dst_ip, uint16_t src_port, uint16_t dst_port,
+                  uint32_t payload_len, uint16_t stream_flags = 0,
+                  uint32_t claimed_payload_override = 0);
+
+// WriteHeaders into `out`, resized to the header bytes (the caller appends
+// or copies the payload).
 void BuildHeaders(std::vector<uint8_t>& out, uint8_t protocol,
                   uint32_t src_ip, uint32_t dst_ip, uint16_t src_port,
                   uint16_t dst_port, uint32_t payload_len,

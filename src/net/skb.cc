@@ -10,6 +10,9 @@ SkbPool::SkbPool(hw::Machine& machine, runtime::MetaPoolRuntime* pools,
   if (pools_ != nullptr) {
     metapool_ = pools_->GetPool("MPc.skbuff", /*type_homogeneous=*/true,
                                 kSkbBufferBytes, /*complete=*/true);
+    // Every buffer is one 2 KiB slot of cache_: registering, dropping and
+    // bounds-checking a frame is one bit operation on the slab registry.
+    metapool_->UseSlabRegistry(cache_);
   }
 }
 

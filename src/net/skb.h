@@ -35,6 +35,7 @@ class NetPages : public runtime::PageProvider {
   explicit NetPages(hw::Machine& machine) : machine_(machine) {}
   uint64_t AllocatePage() override { return machine_.AllocatePhysicalPage(); }
   uint64_t page_size() const override { return hw::kPageSize; }
+  uint64_t span() const override { return machine_.memory().size(); }
 
  private:
   hw::Machine& machine_;

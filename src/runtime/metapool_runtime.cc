@@ -128,7 +128,30 @@ class StripeMaskLock {
 };
 }  // namespace
 
+bool MetaPool::UseSlabRegistry(const PoolAllocator& allocator) {
+  const PageProvider& pages = allocator.pages();
+  if (slab_ != nullptr) {
+    return slab_->page_size() == pages.page_size() &&
+           slab_->stride() == allocator.slot_stride() &&
+           slab_->object_size() == allocator.object_size() &&
+           slab_->span() == pages.span();
+  }
+  if (live_objects() != 0) {
+    return false;
+  }
+  slab_ = SlabRegistry::Create(pages.page_size(), allocator.slot_stride(),
+                               allocator.object_size(), pages.span());
+  return slab_ != nullptr;
+}
+
 bool MetaPool::RegisterRange(uint64_t start, uint64_t size) {
+  if (slab_ != nullptr) {
+    if (!slab_->Register(start, size)) {
+      return false;
+    }
+    live_objects_.fetch_add(1, std::memory_order_release);
+    return true;
+  }
   const uint32_t mask = StripeMaskFor(start, size);
   StripeMaskLock guard(stripes_, mask);
   // Any live range overlapping [start, end] shares an address window with
@@ -154,6 +177,15 @@ bool MetaPool::RegisterRange(uint64_t start, uint64_t size) {
 }
 
 std::optional<ObjectRange> MetaPool::RemoveStart(uint64_t start) {
+  if (slab_ != nullptr) {
+    // No node to retire and no cached copy to invalidate: a slab lookup
+    // reads the live bit itself (slab_registry.h on racing lookups).
+    std::optional<ObjectRange> removed = slab_->Drop(start);
+    if (removed.has_value()) {
+      live_objects_.fetch_sub(1, std::memory_order_release);
+    }
+    return removed;
+  }
   constexpr uint32_t kAllStripes = (1u << kNumStripes) - 1;
   std::optional<ObjectRange> removed;
   // The detached splay nodes outlive the removal by a grace period
@@ -242,6 +274,9 @@ void MetaPool::TlsFill(uint64_t generation, const ObjectRange& range) {
 }
 
 std::optional<ObjectRange> MetaPool::Lookup(uint64_t addr) {
+  if (slab_ != nullptr) {
+    return slab_->Lookup(addr);
+  }
   const bool use_cache = cache_enabled();
   if (use_cache) {
     if (const ObjectRange* hit = TlsProbe(addr)) {
@@ -280,6 +315,13 @@ std::optional<ObjectRange> MetaPool::Lookup(uint64_t addr) {
 }
 
 std::optional<ObjectRange> MetaPool::LookupStart(uint64_t start) {
+  if (slab_ != nullptr) {
+    std::optional<ObjectRange> found = slab_->Lookup(start);
+    if (found.has_value() && found->start != start) {
+      return std::nullopt;
+    }
+    return found;
+  }
   const bool use_cache = cache_enabled();
   if (use_cache) {
     // Exact-start lookups can only be served by an entry starting there.
@@ -459,8 +501,11 @@ Status MetaPoolRuntime::RegisterObject(MetaPool& pool, uint64_t start,
   Bump(Shard().registrations);
   trace::Emit(trace::EventId::kPchkRegObj, start, size);
   if (!pool.RegisterRange(start, size)) {
+    const SlabRegistry* slab = pool.slab();
     return Fail(CheckKind::kRegistration, &pool, start, size,
-                "object overlaps an already-registered object");
+                slab != nullptr && !slab->FitsGrid(start, size)
+                    ? "object does not fit the pool's slab slot grid"
+                    : "object overlaps an already-registered object");
   }
   return OkStatus();
 }

@@ -2,13 +2,27 @@
 // metapool, plus the three run-time checks the SVM verifier inserts into
 // kernel bytecode. This is part of the SVA trusted computing base.
 //
+// Each metapool keeps its registry in one of two forms:
+//
+//  * Slab-indexed (slab_registry.h): a pool whose objects all come from one
+//    kmem_cache-style PoolAllocator with slots no larger than a page — the
+//    kernel's MPc.* caches, MPc.skbuff and MPc.net_sock. The allocator's
+//    owner switches the pool over at creation (MetaPool::UseSlabRegistry).
+//    One live bit per slot; register, drop and lookup are one atomic
+//    operation each on a slot found by address arithmetic, with no lock,
+//    no search and nothing retired through the epoch.
+//  * Striped splay trees: every other pool (MPu.user, the MPk.* kmalloc
+//    classes, every SVM/bytecode pool).
+//
 // Thread safety (DESIGN.md §SMP): checks arrive concurrently from every
-// virtual CPU, so each metapool shards its registry over kNumStripes splay
-// trees by address window, each stripe guarded by its own spinlock; an
-// object is inserted into every stripe its range touches, so a lookup only
-// ever probes the single stripe of the queried address. The object-lookup
-// cache in front of the trees is per-thread (TLS) and validated against a
-// per-pool generation counter, so the hot fast path takes no lock at all.
+// virtual CPU, so each splay-registry metapool shards its objects over
+// kNumStripes splay trees by address window, each stripe guarded by its own
+// spinlock; an object is inserted into every stripe its range touches, so a
+// lookup only ever probes the single stripe of the queried address. The
+// object-lookup cache in front of the trees is per-thread (TLS) and
+// validated against a per-pool generation counter, so the hot fast path
+// takes no lock at all. The check entry points and CheckStats counts are
+// the same for both registries.
 #ifndef SVA_SRC_RUNTIME_METAPOOL_RUNTIME_H_
 #define SVA_SRC_RUNTIME_METAPOOL_RUNTIME_H_
 
@@ -23,6 +37,8 @@
 
 #include "src/runtime/checks.h"
 #include "src/runtime/lookup_cache.h"
+#include "src/runtime/pool_allocator.h"
+#include "src/runtime/slab_registry.h"
 #include "src/runtime/splay_tree.h"
 #include "src/smp/percpu.h"
 #include "src/smp/sync.h"
@@ -81,6 +97,16 @@ class MetaPool {
   // The registered object starting exactly at `start`, if any.
   std::optional<ObjectRange> LookupStart(uint64_t start);
 
+  // Switches the pool to the slab-indexed registry when every object of
+  // the pool comes from `allocator` and its slots fit in a page of a
+  // bounded page provider; returns whether the pool now uses it. Call
+  // when creating the pool, before it holds objects or is shared between
+  // threads. Calling it again with an allocator of the same geometry keeps
+  // the registry.
+  bool UseSlabRegistry(const PoolAllocator& allocator);
+  // The slab registry, or null for a pool on the striped splay registry.
+  const SlabRegistry* slab() const { return slab_.get(); }
+
   // Per-pool object-lookup cache switch. Disabling (or re-enabling) starts
   // every thread's cache cold for this pool. Enabled by default.
   void set_cache_enabled(bool enabled);
@@ -119,6 +145,9 @@ class MetaPool {
   const uint64_t element_size_;
   bool complete_;
 
+  // Set for a slab-indexed pool, which then never touches stripes_, the
+  // generation or the per-thread cache.
+  std::unique_ptr<SlabRegistry> slab_;
   std::array<Stripe, kNumStripes> stripes_;
   // Bumped (release) after every removal; per-thread cache entries tagged
   // with an older generation are never served.

@@ -35,6 +35,10 @@ class PageProvider {
   // Returns the base address of a fresh page, or 0 when exhausted.
   virtual uint64_t AllocatePage() = 0;
   virtual uint64_t page_size() const = 0;
+  // Exclusive upper bound of every page address this provider hands out,
+  // or 0 when it promises none. A bound lets a pool over these pages use
+  // the slab-indexed metapool registry (slab_registry.h).
+  virtual uint64_t span() const { return 0; }
 };
 
 // A kmem_cache-style slab pool.
@@ -48,6 +52,7 @@ class PoolAllocator {
   const std::string& name() const { return name_; }
   uint64_t object_size() const { return object_size_; }
   uint64_t slot_stride() const { return stride_; }
+  const PageProvider& pages() const { return pages_; }
 
   // Allocates one object; returns 0 on page exhaustion. Thread-safe: the
   // free list and live set are guarded (concurrent Grow() calls into the

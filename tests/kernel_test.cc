@@ -7,6 +7,7 @@
 
 #include "src/kernel/kernel.h"
 #include "src/net/client.h"
+#include "src/smp/epoch.h"
 #include "src/smp/lock_order.h"
 #include "src/smp/percpu.h"
 #include "src/trace/profiler.h"
@@ -437,6 +438,87 @@ TEST(KernelSafetyTest, SafeModeRegistersAllocationsInMetapools) {
   // were registered.
   EXPECT_GE(h.k().pools().stats().registrations, before + 3);
   EXPECT_EQ(h.k().pools().stats().total_failed(), 0u);
+}
+
+// A task whose address space cannot be built gives its task struct back:
+// user_pages_per_task above the cap makes CreateAddressSpace fail for pid 1,
+// so Boot fails with no task in the map and no live task_struct object.
+TEST(KernelSafetyTest, FailedTaskCreationFreesTheTaskStruct) {
+  hw::Machine machine(64ull << 20);
+  KernelConfig config;
+  config.mode = KernelMode::kSvaSafe;
+  config.user_pages_per_task = config.max_user_pages_per_task + 1;
+  Kernel kernel(machine, config);
+  EXPECT_FALSE(kernel.Boot().ok());
+  EXPECT_EQ(kernel.FindTask(1), nullptr);
+  runtime::MetaPool* tasks = kernel.pools().FindPool("MPc.task_struct");
+  ASSERT_NE(tasks, nullptr);
+  EXPECT_EQ(tasks->live_objects(), 0u);
+}
+
+// A fork that fails past CreateTask leaves no half-built child. Here an
+// eager fork runs out of frames halfway through copying the parent, and the
+// child's task struct, fd references and copied frames all come back.
+TEST(KernelSafetyTest, FailedForkUnwindsTheChild) {
+  hw::Machine machine(32ull << 20);
+  KernelConfig config;
+  config.mode = KernelMode::kSvaSafe;
+  config.cow_fork = false;
+  config.user_pages_per_task = 96;
+  Kernel kernel(machine, config);
+  ASSERT_TRUE(kernel.Boot().ok());
+  const uint64_t base = kUserVirtualBase + 0x100000;  // pid 1's region.
+  const std::vector<char> page(hw::kPageSize, 'p');
+  auto touch = [&](uint64_t first, uint64_t count) {
+    for (uint64_t i = first; i < first + count; ++i) {
+      ASSERT_TRUE(
+          kernel.PokeUser(base + i * hw::kPageSize, page.data(), page.size())
+              .ok());
+    }
+  };
+  touch(0, 64);
+  // Park 64 frames on the frame allocator's free list: fork a copy of the
+  // 64 resident pages, then let it exit and reap it.
+  auto first = kernel.Syscall(Sys::kFork);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(kernel.Yield().ok());
+  ASSERT_EQ(kernel.current_pid(), static_cast<int>(*first));
+  ASSERT_TRUE(kernel.Syscall(Sys::kExit, 0).ok());
+  ASSERT_EQ(kernel.current_pid(), 1);
+  ASSERT_TRUE(kernel.Syscall(Sys::kWaitPid, *first).ok());
+  // Exhaust the machine with file data, so only the parked frames are left.
+  ASSERT_TRUE(kernel.PokeUserString(base, "/tmp/ballast").ok());
+  auto ballast = kernel.Syscall(Sys::kOpen, base, 1);
+  ASSERT_TRUE(ballast.ok());
+  for (int i = 0; i < 1 << 14; ++i) {
+    auto wrote = kernel.Syscall(Sys::kWrite, *ballast, base, hw::kPageSize);
+    if (!wrote.ok() || *wrote != hw::kPageSize) {
+      break;
+    }
+  }
+  // 32 more resident pages leave 32 free frames: too few for a 96-page copy.
+  touch(64, 32);
+  runtime::MetaPool* tasks = kernel.pools().FindPool("MPc.task_struct");
+  runtime::MetaPool* files = kernel.pools().FindPool("MPc.filp");
+  ASSERT_NE(tasks, nullptr);
+  ASSERT_NE(files, nullptr);
+  const size_t tasks_before = tasks->live_objects();
+  const size_t files_before = files->live_objects();
+  const size_t frames_before = kernel.frames().live_frames();
+
+  auto child = kernel.Syscall(Sys::kFork);
+  ASSERT_FALSE(child.ok() && static_cast<int64_t>(*child) > 0)
+      << "the fork fit in memory";
+  EXPECT_EQ(tasks->live_objects(), tasks_before);
+  EXPECT_EQ(kernel.frames().live_frames(), frames_before);
+  for (int pid = 2; pid < 8; ++pid) {
+    EXPECT_EQ(kernel.FindTask(pid), nullptr) << pid;
+  }
+  // The child's reference on the ballast file went with it: the parent's
+  // close is the last one and frees the file after a grace period.
+  ASSERT_TRUE(kernel.Syscall(Sys::kClose, *ballast).ok());
+  smp::EpochDomain::Global().Synchronize();
+  EXPECT_EQ(files->live_objects(), files_before - 1);
 }
 
 // Drives read/write/send/recv over every fd kind (regular file, pipe,

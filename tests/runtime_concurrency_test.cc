@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "src/runtime/metapool_runtime.h"
+#include "src/runtime/pool_allocator.h"
 #include "src/smp/percpu.h"
 
 namespace sva::runtime {
@@ -232,6 +233,81 @@ TEST(RuntimeConcurrencyTest, CacheToggleDuringTraffic) {
   });
   toggler.join();
   EXPECT_TRUE(rt.violations().empty());
+}
+
+// Bump pages over a bounded span, so a pool over them can be slab-indexed.
+class BoundedPages : public PageProvider {
+ public:
+  uint64_t AllocatePage() override {
+    uint64_t page = next_.fetch_add(4096, std::memory_order_relaxed);
+    return page + 4096 <= kSpan ? page : 0;
+  }
+  uint64_t page_size() const override { return 4096; }
+  uint64_t span() const override { return kSpan; }
+
+ private:
+  static constexpr uint64_t kSpan = 1ull << 22;
+  std::atomic<uint64_t> next_{4096};
+};
+
+TEST(RuntimeConcurrencyTest, SlabPoolRegisterCheckDropStress) {
+  // Four threads on one slab-indexed pool. Slots are dealt round-robin, so
+  // every thread's slots share live-bit words with the other threads' and
+  // each register/drop is a read-modify-write racing its neighbours'.
+  constexpr unsigned kSlabThreads = 4;
+  constexpr uint64_t kSlotsPerThread = 64;
+  constexpr uint64_t kObject = 48;
+  BoundedPages pages;
+  PoolAllocator cache("obj", kObject, pages);
+  MetaPoolRuntime rt;
+  MetaPool* pool = rt.CreatePool("MPc.obj", true, kObject, /*complete=*/true);
+  ASSERT_TRUE(pool->UseSlabRegistry(cache));
+  std::vector<std::vector<uint64_t>> slots(kSlabThreads);
+  for (uint64_t i = 0; i < kSlabThreads * kSlotsPerThread; ++i) {
+    uint64_t addr = cache.Allocate();
+    ASSERT_NE(addr, 0u);
+    slots[i % kSlabThreads].push_back(addr);
+  }
+
+  constexpr uint64_t kRounds = 300;
+  std::atomic<uint64_t> wrong{0};
+  RunOnThreads(kSlabThreads, [&](unsigned t) {
+    const std::vector<uint64_t>& mine = slots[t];
+    const std::vector<uint64_t>& theirs = slots[(t + 1) % kSlabThreads];
+    for (uint64_t round = 0; round < kRounds; ++round) {
+      for (uint64_t addr : mine) {
+        bool ok = rt.RegisterObject(*pool, addr, kObject).ok() &&
+                  rt.BoundsCheck(*pool, addr + 8, addr + kObject - 1).ok() &&
+                  rt.LoadStoreCheck(*pool, addr + kObject - 1).ok() &&
+                  !rt.BoundsCheck(*pool, addr, addr + kObject).ok();
+        // A neighbour's slot is live or not at any moment; a hit must
+        // still be exactly that slot.
+        std::optional<ObjectRange> other =
+            rt.GetBounds(*pool, theirs[round % kSlotsPerThread] + 4);
+        ok = ok && (!other.has_value() ||
+                    (other->start == theirs[round % kSlotsPerThread] &&
+                     other->size == kObject));
+        ok = ok && rt.DropObject(*pool, addr).ok() &&
+             !rt.BoundsCheck(*pool, addr, addr + 1).ok();
+        if (!ok) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(pool->live_objects(), 0u);
+  const uint64_t ops = kSlabThreads * kSlotsPerThread * kRounds;
+  const CheckStats& stats = rt.stats();
+  EXPECT_EQ(stats.registrations, ops);
+  EXPECT_EQ(stats.drops, ops);
+  EXPECT_EQ(stats.frees_failed, 0u);
+  EXPECT_EQ(stats.bounds_performed, 3 * ops);
+  // Exactly the two overflow probes per op fail, nothing else.
+  EXPECT_EQ(stats.bounds_failed, 2 * ops);
+  EXPECT_EQ(rt.violations().size(), 2 * ops);
+  EXPECT_EQ(stats.splay_comparisons, 0u);
 }
 
 }  // namespace
