@@ -14,11 +14,16 @@ KernelAllocators::KernelAllocators(hw::Machine& machine,
   if (safety_checks_) {
     // SVA-PORT(alloc): one metapool per kmalloc size class — the exposed
     // kmalloc/kmem_cache relationship of Section 6.2 avoids merging all of
-    // kmalloc.
+    // kmalloc. Every object of a class's pool comes from that class's
+    // cache, so a class whose slots fit in a page gets the slab-indexed
+    // registry (slab_registry.h on why that is sound for these non-TH
+    // pools too).
     for (const auto& cache : kmalloc_->caches()) {
-      kmalloc_pools_[cache->object_size()] = pools_->GetPool(
+      runtime::MetaPool* pool = pools_->GetPool(
           StrCat("MPk.", cache->name()), /*type_homogeneous=*/false,
           /*element_size=*/cache->object_size(), /*complete=*/true);
+      pool->UseSlabRegistry(*cache);
+      kmalloc_pools_.push_back(pool);
     }
   }
 }
@@ -69,9 +74,9 @@ Result<uint64_t> KernelAllocators::Kmalloc(uint64_t size) {
     return Internal(StrCat("kmalloc(", size, "): out of memory"));
   }
   if (safety_checks_) {
-    uint64_t cls = kmalloc_->AllocationSize(addr);
-    SVA_RETURN_IF_ERROR(
-        pools_->RegisterObject(*kmalloc_pools_.at(cls), addr, cls));
+    const size_t cls = runtime::OrdinaryAllocator::ClassIndex(size);
+    SVA_RETURN_IF_ERROR(pools_->RegisterObject(
+        *kmalloc_pools_[cls], addr, kmalloc_->caches()[cls]->object_size()));
   }
   return addr;
 }
@@ -83,7 +88,7 @@ Status KernelAllocators::Kfree(uint64_t addr) {
       return SafetyViolation(
           StrCat("kfree of unknown address 0x", std::hex, addr));
     }
-    SVA_RETURN_IF_ERROR(pools_->DropObject(*kmalloc_pools_.at(cls), addr));
+    SVA_RETURN_IF_ERROR(pools_->DropObject(*PoolForKmallocClass(cls), addr));
   }
   return kmalloc_->Free(addr);
 }
@@ -102,12 +107,8 @@ runtime::MetaPool* KernelAllocators::PoolForCache(
 }
 
 runtime::MetaPool* KernelAllocators::PoolForKmallocClass(uint64_t size) const {
-  for (const auto& [cls, pool] : kmalloc_pools_) {
-    if (size <= cls) {
-      return pool;
-    }
-  }
-  return nullptr;
+  const size_t cls = runtime::OrdinaryAllocator::ClassIndex(size);
+  return cls < kmalloc_pools_.size() ? kmalloc_pools_[cls] : nullptr;
 }
 
 }  // namespace sva::kernel

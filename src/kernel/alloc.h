@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/hw/machine.h"
 #include "src/kernel/config.h"
@@ -58,6 +59,7 @@ class KernelAllocators {
   uint64_t KmallocSize(uint64_t addr) const {
     return kmalloc_->AllocationSize(addr);
   }
+  const runtime::OrdinaryAllocator& kmalloc() const { return *kmalloc_; }
 
   // _alloc_bootmem: early allocations, registered like kmalloc's.
   Result<uint64_t> AllocBootmem(uint64_t size);
@@ -76,7 +78,8 @@ class KernelAllocators {
   std::unique_ptr<runtime::OrdinaryAllocator> kmalloc_;
   std::map<std::string, std::unique_ptr<runtime::PoolAllocator>> caches_;
   std::map<const runtime::PoolAllocator*, runtime::MetaPool*> cache_pools_;
-  std::map<uint64_t, runtime::MetaPool*> kmalloc_pools_;  // class -> pool
+  // Indexed like kmalloc_->caches(); empty when checks are off.
+  std::vector<runtime::MetaPool*> kmalloc_pools_;
 };
 
 }  // namespace sva::kernel

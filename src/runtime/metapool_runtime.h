@@ -6,13 +6,14 @@
 //
 //  * Slab-indexed (slab_registry.h): a pool whose objects all come from one
 //    kmem_cache-style PoolAllocator with slots no larger than a page — the
-//    kernel's MPc.* caches, MPc.skbuff and MPc.net_sock. The allocator's
-//    owner switches the pool over at creation (MetaPool::UseSlabRegistry).
-//    One live bit per slot; register, drop and lookup are one atomic
-//    operation each on a slot found by address arithmetic, with no lock,
-//    no search and nothing retired through the epoch.
-//  * Striped splay trees: every other pool (MPu.user, the MPk.* kmalloc
-//    classes, every SVM/bytecode pool).
+//    kernel's MPc.* caches, MPc.skbuff, MPc.net_sock and the MPk.kmalloc-32
+//    ... MPk.kmalloc-4096 classes. The allocator's owner switches the pool
+//    over at creation (MetaPool::UseSlabRegistry). One live bit per slot;
+//    register, drop and lookup are one atomic operation each on a slot
+//    found by address arithmetic, with no lock, no search and nothing
+//    retired through the epoch.
+//  * Striped splay trees: every other pool (MPu.user, the kmalloc classes
+//    above a page, every SVM/bytecode pool).
 //
 // Thread safety (DESIGN.md §SMP): checks arrive concurrently from every
 // virtual CPU, so each splay-registry metapool shards its objects over
@@ -98,11 +99,10 @@ class MetaPool {
   std::optional<ObjectRange> LookupStart(uint64_t start);
 
   // Switches the pool to the slab-indexed registry when every object of
-  // the pool comes from `allocator` and its slots fit in a page of a
-  // bounded page provider; returns whether the pool now uses it. Call
-  // when creating the pool, before it holds objects or is shared between
-  // threads. Calling it again with an allocator of the same geometry keeps
-  // the registry.
+  // the pool comes from `allocator` and its slots fit in a page; returns
+  // whether the pool now uses it. Call when creating the pool, before it
+  // holds objects or is shared between threads. Calling it again with an
+  // allocator of the same geometry keeps the registry.
   bool UseSlabRegistry(const PoolAllocator& allocator);
   // The slab registry, or null for a pool on the striped splay registry.
   const SlabRegistry* slab() const { return slab_.get(); }

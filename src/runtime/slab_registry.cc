@@ -1,8 +1,5 @@
 #include "src/runtime/slab_registry.h"
 
-#include <sys/mman.h>
-
-#include <atomic>
 #include <bit>
 
 namespace sva::runtime {
@@ -15,34 +12,23 @@ std::unique_ptr<SlabRegistry> SlabRegistry::Create(uint64_t page_size,
       object_size > stride || stride > page_size || span == 0) {
     return nullptr;
   }
-  const uint64_t pages = (span + page_size - 1) / page_size;
-  const uint64_t bits = pages * (page_size / stride);
-  const size_t bytes = static_cast<size_t>((bits + 63) / 64 * 8);
-  // Anonymous private memory is zero-filled on first touch: the registry
-  // costs resident memory only for the words whose pages hold live slots.
-  void* words = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (words == MAP_FAILED) {
+  std::unique_ptr<SlabRegistry> registry(
+      new SlabRegistry(page_size, stride, object_size, span));
+  if (!registry->live_.ok()) {
     return nullptr;
   }
-  return std::unique_ptr<SlabRegistry>(
-      new SlabRegistry(page_size, stride, object_size, span,
-                       static_cast<uint64_t*>(words), bytes));
+  return registry;
 }
 
 SlabRegistry::SlabRegistry(uint64_t page_size, uint64_t stride,
-                           uint64_t object_size, uint64_t span,
-                           uint64_t* words, size_t bytes)
+                           uint64_t object_size, uint64_t span)
     : page_size_(page_size),
       page_shift_(static_cast<uint64_t>(std::countr_zero(page_size))),
       stride_(stride),
       object_size_(object_size),
       span_(span),
       slots_per_page_(page_size / stride),
-      words_(words),
-      bytes_(bytes) {}
-
-SlabRegistry::~SlabRegistry() { munmap(words_, bytes_); }
+      live_((span + page_size - 1) / page_size * (page_size / stride)) {}
 
 bool SlabRegistry::SlotOf(uint64_t addr, uint64_t* bit,
                           uint64_t* slot_start) const {
@@ -77,9 +63,7 @@ bool SlabRegistry::Register(uint64_t start, uint64_t size) {
   if (size != object_size_ || !StartBit(start, &bit)) {
     return false;
   }
-  const uint64_t old = std::atomic_ref<uint64_t>(*Word(bit)).fetch_or(
-      Mask(bit), std::memory_order_acq_rel);
-  return (old & Mask(bit)) == 0;
+  return live_.Set(bit);
 }
 
 std::optional<ObjectRange> SlabRegistry::Drop(uint64_t start) {
@@ -87,9 +71,7 @@ std::optional<ObjectRange> SlabRegistry::Drop(uint64_t start) {
   if (!StartBit(start, &bit)) {
     return std::nullopt;
   }
-  const uint64_t old = std::atomic_ref<uint64_t>(*Word(bit)).fetch_and(
-      ~Mask(bit), std::memory_order_acq_rel);
-  if ((old & Mask(bit)) == 0) {
+  if (!live_.Clear(bit)) {
     return std::nullopt;
   }
   return ObjectRange{start, object_size_};
@@ -101,9 +83,7 @@ std::optional<ObjectRange> SlabRegistry::Lookup(uint64_t addr) const {
   if (!SlotOf(addr, &bit, &slot_start)) {
     return std::nullopt;
   }
-  const uint64_t word =
-      std::atomic_ref<uint64_t>(*Word(bit)).load(std::memory_order_acquire);
-  if ((word & Mask(bit)) == 0) {
+  if (!live_.Test(bit)) {
     return std::nullopt;
   }
   return ObjectRange{slot_start, object_size_};

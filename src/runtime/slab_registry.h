@@ -17,17 +17,21 @@
 //
 // Soundness of a lookup racing a drop: the lookup may still report the
 // object after the drop's fetch_and. The memory it approves stays a slot of
-// this type-homogeneous pool, because slab pages are never released
-// (SLAB_NO_REAP), so a stale hit can only ever approve an access to an
-// object of the same type (docs/CONCURRENCY.md §5).
+// the same allocator, because slab pages are never released
+// (SLAB_NO_REAP). For a type-homogeneous pool (the MPc.* caches) a stale
+// hit can therefore only approve an access to an object of the same type.
+// For a non-TH pool (the MPk.* kmalloc classes, whose objects all come
+// from one size class) it can only approve an access inside a slot of the
+// same kmalloc class, which is all a non-TH pool's checks promise: an
+// access stays within the pool's objects (docs/CONCURRENCY.md §5).
 #ifndef SVA_SRC_RUNTIME_SLAB_REGISTRY_H_
 #define SVA_SRC_RUNTIME_SLAB_REGISTRY_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 
+#include "src/runtime/atomic_bitmap.h"
 #include "src/runtime/splay_tree.h"
 
 namespace sva::runtime {
@@ -42,7 +46,6 @@ class SlabRegistry {
                                               uint64_t stride,
                                               uint64_t object_size,
                                               uint64_t span);
-  ~SlabRegistry();
   SlabRegistry(const SlabRegistry&) = delete;
   SlabRegistry& operator=(const SlabRegistry&) = delete;
 
@@ -65,15 +68,13 @@ class SlabRegistry {
 
  private:
   SlabRegistry(uint64_t page_size, uint64_t stride, uint64_t object_size,
-               uint64_t span, uint64_t* words, size_t bytes);
+               uint64_t span);
 
   // The bit index and start of the slot whose object contains `addr`;
   // false when no object can contain it.
   bool SlotOf(uint64_t addr, uint64_t* bit, uint64_t* slot_start) const;
   // The bit of the slot starting exactly at `start`; false if none does.
   bool StartBit(uint64_t start, uint64_t* bit) const;
-  uint64_t* Word(uint64_t bit) const { return words_ + bit / 64; }
-  static uint64_t Mask(uint64_t bit) { return uint64_t{1} << (bit % 64); }
 
   const uint64_t page_size_;
   const uint64_t page_shift_;
@@ -81,8 +82,7 @@ class SlabRegistry {
   const uint64_t object_size_;
   const uint64_t span_;
   const uint64_t slots_per_page_;
-  uint64_t* const words_;  // Accessed only through std::atomic_ref.
-  const size_t bytes_;
+  AtomicBitmap live_;
 };
 
 }  // namespace sva::runtime

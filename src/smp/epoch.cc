@@ -1,5 +1,6 @@
 #include "src/smp/epoch.h"
 
+#include <cstdint>
 #include <mutex>
 #include <utility>
 
@@ -8,6 +9,12 @@ namespace sva::smp {
 EpochDomain& EpochDomain::Global() {
   static EpochDomain domain;
   return domain;
+}
+
+EpochDomain::~EpochDomain() {
+  if (pinned_readers() == 0) {
+    reclaimed_.fetch_add(ReclaimUpTo(UINT64_MAX), std::memory_order_relaxed);
+  }
 }
 
 int EpochDomain::Pin() {

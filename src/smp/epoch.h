@@ -58,6 +58,11 @@ class EpochDomain {
   // bookkeeping without shortening any grace period.
   static EpochDomain& Global();
 
+  // Runs every pending retiree when the process-global domain is torn down
+  // at exit, so deferred frees are not lost with the retire lists. Skipped
+  // if a reader is still pinned (a thread outliving static destruction).
+  ~EpochDomain();
+
   // The current global epoch (relaxed; for cache tags and diagnostics).
   uint64_t epoch() const {
     return global_epoch_.load(std::memory_order_relaxed);

@@ -57,6 +57,7 @@ class AddressSpace {
       return space_.AllocateRegion(kPageSize, kPageSize);
     }
     uint64_t page_size() const override { return kPageSize; }
+    uint64_t span() const override { return space_.size(); }
 
    private:
     AddressSpace& space_;

@@ -192,6 +192,65 @@ TEST(KernelStressTest, PipeCloseDuringReadGetsDataOrEBadF) {
   EXPECT_TRUE(h.k().pools().violations().empty());
 }
 
+// gettimeofday stages its result through a kmalloc'd buffer and open its
+// path; from two CPUs at once, each buffer is freed into the magazine of
+// the CPU that allocated it or of the other one. Afterwards every kmalloc
+// class and every MPk.* metapool is back at its live count from before.
+TEST(KernelStressTest, TwoCpuTimeAndOpenLeaveKmallocAtBaseline) {
+  constexpr int kCpus = 2;
+  constexpr int kRounds = 2000;
+  StressHarness h;
+  h.k().svaos().ConfigureCpus(kCpus);
+  ASSERT_TRUE(h.k().PokeUserString(h.user(0), "/stress/kmalloc").ok());
+  ASSERT_EQ(h.Call(Sys::kClose, h.Call(Sys::kOpen, h.user(0), 1)), 0u);
+  // Fault the timeval buffers in before the threads start.
+  std::vector<char> zeros(64, 0);
+  ASSERT_TRUE(h.k().PokeUser(h.user(4096), zeros.data(), zeros.size()).ok());
+
+  const auto& classes = h.k().allocators().kmalloc().caches();
+  std::vector<uint64_t> class_live;
+  std::vector<size_t> pool_live;
+  for (const auto& cls : classes) {
+    class_live.push_back(cls->live_objects());
+    runtime::MetaPool* pool = h.k().pools().FindPool("MPk." + cls->name());
+    ASSERT_NE(pool, nullptr);
+    pool_live.push_back(pool->live_objects());
+  }
+  const uint64_t tv = h.user(4096);
+  const uint64_t path = h.user(0);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int cpu = 0; cpu < kCpus; ++cpu) {
+    threads.emplace_back([&, cpu] {
+      smp::ScopedCpu bind(static_cast<unsigned>(cpu));
+      for (int round = 0; round < kRounds; ++round) {
+        auto time = h.k().Syscall(Sys::kGetTimeOfDay, tv + cpu * 16);
+        auto fd = h.k().Syscall(Sys::kOpen, path, 0);
+        bool ok = time.ok() && *time == 0 && fd.ok() && *fd < 16;
+        if (fd.ok()) {
+          auto closed = h.k().Syscall(Sys::kClose, *fd);
+          ok = ok && closed.ok() && *closed == 0;
+        }
+        if (!ok) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  for (size_t i = 0; i < classes.size(); ++i) {
+    const std::string& name = classes[i]->name();
+    EXPECT_EQ(classes[i]->live_objects(), class_live[i]) << name;
+    EXPECT_EQ(h.k().pools().FindPool("MPk." + name)->live_objects(),
+              pool_live[i])
+        << name;
+  }
+  EXPECT_EQ(h.k().pools().stats().total_failed(), 0u);
+}
+
 TEST(KernelStressTest, SignalStorm) {
   StressHarness h;
   for (int sig = 0; sig < kMaxSignals; ++sig) {

@@ -440,6 +440,69 @@ TEST(KernelSafetyTest, SafeModeRegistersAllocationsInMetapools) {
   EXPECT_EQ(h.k().pools().stats().total_failed(), 0u);
 }
 
+// Every kmalloc class whose slots fit in a page has a slab-indexed
+// metapool; the larger classes keep the splay registry.
+TEST(KernelSafetyTest, KmallocClassesWithinAPageAreSlabIndexed) {
+  KernelHarness h(KernelMode::kSvaSafe);
+  for (const auto& cls : h.k().allocators().kmalloc().caches()) {
+    runtime::MetaPool* pool = h.k().pools().FindPool("MPk." + cls->name());
+    ASSERT_NE(pool, nullptr) << cls->name();
+    EXPECT_EQ(pool->slab() != nullptr, cls->object_size() <= hw::kPageSize)
+        << cls->name();
+  }
+}
+
+// kfree keeps its status codes for interior, double, foreign and
+// out-of-span frees: a safety violation with checks on, an invalid
+// argument without them.
+TEST(KernelSafetyTest, KfreeRejectsBadAddresses) {
+  for (KernelMode mode : {KernelMode::kSvaSafe, KernelMode::kNative}) {
+    KernelHarness h(mode);
+    const StatusCode expected = mode == KernelMode::kSvaSafe
+                                    ? StatusCode::kSafetyViolation
+                                    : StatusCode::kInvalidArgument;
+    KernelAllocators& alloc = h.k().allocators();
+    runtime::PoolAllocator* cache = alloc.CreateCache("kfree_probe", 64);
+    auto foreign = alloc.CacheAlloc(cache);
+    auto buf = alloc.Kmalloc(40);
+    ASSERT_TRUE(foreign.ok());
+    ASSERT_TRUE(buf.ok());
+    EXPECT_EQ(alloc.KmallocSize(*buf), 64u);
+    EXPECT_EQ(alloc.KmallocSize(*buf + 8), 0u);
+    EXPECT_EQ(alloc.KmallocSize(*foreign), 0u);
+    EXPECT_EQ(alloc.Kfree(*buf + 8).code(), expected);
+    EXPECT_EQ(alloc.Kfree(*foreign).code(), expected);
+    EXPECT_EQ(alloc.Kfree(h.machine_.memory().size() + 4096).code(), expected);
+    ASSERT_TRUE(alloc.Kfree(*buf).ok());
+    EXPECT_EQ(alloc.KmallocSize(*buf), 0u);
+    EXPECT_EQ(alloc.Kfree(*buf).code(), expected);
+    EXPECT_TRUE(alloc.CacheFree(cache, *foreign).ok());
+  }
+}
+
+// On a slab-indexed kmalloc class pool a drop must name a slot start, and
+// a freed object fails its load/store check at once.
+TEST(KernelSafetyTest, KmallocSlabPoolRejectsOffGridDropAndFreedAccess) {
+  KernelHarness h(KernelMode::kSvaSafe);
+  KernelAllocators& alloc = h.k().allocators();
+  runtime::MetaPool* pool = alloc.PoolForKmallocClass(64);
+  ASSERT_NE(pool, nullptr);
+  ASSERT_NE(pool->slab(), nullptr);
+  auto buf = alloc.Kmalloc(64);
+  ASSERT_TRUE(buf.ok());
+  runtime::MetaPoolRuntime& rt = h.k().pools();
+  EXPECT_TRUE(rt.LoadStoreCheck(*pool, *buf + 63).ok());
+  EXPECT_EQ(rt.DropObject(*pool, *buf + 8).code(),
+            StatusCode::kSafetyViolation);
+  ASSERT_FALSE(rt.violations().empty());
+  EXPECT_EQ(rt.violations().back().kind, runtime::CheckKind::kIllegalFree);
+  EXPECT_TRUE(rt.LoadStoreCheck(*pool, *buf + 8).ok());
+  ASSERT_TRUE(alloc.Kfree(*buf).ok());
+  EXPECT_EQ(rt.LoadStoreCheck(*pool, *buf + 8).code(),
+            StatusCode::kSafetyViolation);
+  EXPECT_EQ(rt.violations().back().kind, runtime::CheckKind::kLoadStore);
+}
+
 // A task whose address space cannot be built gives its task struct back:
 // user_pages_per_task above the cap makes CreateAddressSpace fail for pid 1,
 // so Boot fails with no task in the map and no live task_struct object.

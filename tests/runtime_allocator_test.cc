@@ -3,14 +3,17 @@
 #include <set>
 
 #include "src/runtime/pool_allocator.h"
+#include "src/smp/percpu.h"
 
 namespace sva::runtime {
 namespace {
 
+constexpr uint64_t kFirstPage = 0x100000;
+
 // A simple bump page provider over an abstract address range.
 class TestPages : public PageProvider {
  public:
-  explicit TestPages(uint64_t limit_pages = 1 << 20)
+  explicit TestPages(uint64_t limit_pages = 1 << 16)
       : limit_pages_(limit_pages) {}
   uint64_t AllocatePage() override {
     if (allocated_ >= limit_pages_) {
@@ -22,10 +25,13 @@ class TestPages : public PageProvider {
     return addr;
   }
   uint64_t page_size() const override { return 4096; }
+  uint64_t span() const override {
+    return kFirstPage + limit_pages_ * page_size();
+  }
   uint64_t allocated() const { return allocated_; }
 
  private:
-  uint64_t next_ = 0x100000;
+  uint64_t next_ = kFirstPage;
   uint64_t allocated_ = 0;
   uint64_t limit_pages_;
 };
@@ -122,12 +128,13 @@ class FlakyPages : public PageProvider {
     return addr;
   }
   uint64_t page_size() const override { return 4096; }
+  uint64_t span() const override { return uint64_t{1} << 30; }
   void set_budget(uint64_t budget) { budget_ = budget; }
   void set_skip_after(uint64_t n) { skip_after_ = n; }
   uint64_t allocated() const { return allocated_; }
 
  private:
-  uint64_t next_ = 0x100000;
+  uint64_t next_ = kFirstPage;
   uint64_t allocated_ = 0;
   uint64_t budget_;
   uint64_t skip_after_ = 0;
@@ -223,6 +230,119 @@ TEST(OrdinaryAllocatorTest, ExposesKmallocCacheRelationship) {
   EXPECT_GE(kmalloc.caches().size(), 10u);
   uint64_t a = kmalloc.Allocate(60);
   EXPECT_TRUE(kmalloc.CacheFor(60)->IsLiveObject(a));
+}
+
+// Every bad free fails with the code it always had and leaves the live set
+// alone: the live bit of the slot starting at the address must be set, so
+// interior, double, foreign-pool and out-of-span frees all miss it.
+TEST(PoolAllocatorTest, FreeRejectsDoubleInteriorForeignAndOutOfSpan) {
+  TestPages pages(/*limit_pages=*/64);
+  PoolAllocator pool("obj", 64, pages);
+  PoolAllocator other("other", 64, pages);
+  uint64_t a = pool.Allocate();
+  uint64_t b = other.Allocate();
+  ASSERT_NE(a, 0u);
+  ASSERT_NE(b, 0u);
+  EXPECT_EQ(pool.Free(a + 8).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.Free(b).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.Free(pages.span()).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.Free(~uint64_t{0} & ~uint64_t{63}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.Free(0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.live_objects(), 1u);
+  EXPECT_TRUE(other.IsLiveObject(b));
+  ASSERT_TRUE(pool.Free(a).ok());
+  EXPECT_EQ(pool.Free(a).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.live_objects(), 0u);
+  EXPECT_EQ(other.live_objects(), 1u);
+}
+
+TEST(PoolAllocatorTest, MultiPageObjectsFreeOnlyAtTheirStart) {
+  TestPages pages;
+  PoolAllocator pool("big", 2 * 4096, pages);
+  uint64_t a = pool.Allocate();
+  ASSERT_NE(a, 0u);
+  EXPECT_EQ(pool.Free(a + 4096).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.LiveObjects(), std::vector<uint64_t>{a});
+  ASSERT_TRUE(pool.Free(a).ok());
+  EXPECT_TRUE(pool.LiveObjects().empty());
+}
+
+// Free slots cached in one CPU's magazine are not lost to another CPU when
+// the page provider runs out.
+TEST(PoolAllocatorTest, ExhaustionTakesSlotsCachedOnOtherCpus) {
+  TestPages pages(/*limit_pages=*/1);
+  PoolAllocator pool("obj", 1024, pages);
+  std::vector<uint64_t> addrs;
+  {
+    smp::ScopedCpu cpu(0);
+    for (int i = 0; i < 4; ++i) {
+      addrs.push_back(pool.Allocate());
+      ASSERT_NE(addrs.back(), 0u);
+    }
+    for (uint64_t a : addrs) {
+      ASSERT_TRUE(pool.Free(a).ok());
+    }
+  }
+  smp::ScopedCpu cpu(1);
+  std::set<uint64_t> again;
+  for (int i = 0; i < 4; ++i) {
+    uint64_t a = pool.Allocate();
+    ASSERT_NE(a, 0u);
+    again.insert(a);
+  }
+  EXPECT_EQ(again, std::set<uint64_t>(addrs.begin(), addrs.end()));
+  EXPECT_EQ(pool.Allocate(), 0u);
+  EXPECT_EQ(pool.live_objects(), 4u);
+}
+
+TEST(OrdinaryAllocatorTest, ClassIndexMatchesTheSmallestFittingClass) {
+  TestPages pages;
+  OrdinaryAllocator kmalloc(pages);
+  EXPECT_EQ(OrdinaryAllocator::ClassIndex(0), 0u);
+  EXPECT_EQ(kmalloc.CacheFor(0)->object_size(), 32u);
+  for (uint64_t size = 1; size <= kmalloc.largest_class() + 1; ++size) {
+    PoolAllocator* fits = nullptr;
+    for (const auto& cache : kmalloc.caches()) {
+      if (size <= cache->object_size()) {
+        fits = cache.get();
+        break;
+      }
+    }
+    ASSERT_EQ(kmalloc.CacheFor(size), fits) << size;
+  }
+  EXPECT_EQ(OrdinaryAllocator::ClassIndex(~uint64_t{0}),
+            OrdinaryAllocator::kNumClasses);
+}
+
+// The size query and kfree find the class from the page the address is
+// on; an address that is not the start of a live object of that class
+// gets size 0 and a failed free.
+TEST(OrdinaryAllocatorTest, SizeQueryAndFreeRejectBadAddresses) {
+  TestPages pages;
+  OrdinaryAllocator kmalloc(pages);
+  PoolAllocator foreign("foreign", 128, pages);
+  uint64_t a = kmalloc.Allocate(100);
+  uint64_t b = kmalloc.Allocate(40);
+  uint64_t f = foreign.Allocate();
+  ASSERT_NE(a, 0u);
+  ASSERT_NE(b, 0u);
+  ASSERT_NE(f, 0u);
+  EXPECT_EQ(kmalloc.AllocationSize(a), 128u);
+  EXPECT_EQ(kmalloc.AllocationSize(b), 64u);
+  EXPECT_EQ(kmalloc.AllocationSize(a + 8), 0u);
+  EXPECT_EQ(kmalloc.AllocationSize(b + 64), 0u);  // A free slot of b's page.
+  EXPECT_EQ(kmalloc.AllocationSize(f), 0u);
+  EXPECT_EQ(kmalloc.AllocationSize(pages.span() + 4096), 0u);
+  EXPECT_EQ(kmalloc.Free(a + 8).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(kmalloc.Free(f).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(kmalloc.Free(pages.span() + 4096).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(foreign.IsLiveObject(f));
+  ASSERT_TRUE(kmalloc.Free(a).ok());
+  EXPECT_EQ(kmalloc.AllocationSize(a), 0u);
+  EXPECT_EQ(kmalloc.Free(a).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(kmalloc.AllocationSize(b), 64u);
 }
 
 // Parameterized sweep over object sizes: allocation/free cycles preserve

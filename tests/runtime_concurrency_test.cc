@@ -3,9 +3,12 @@
 // shared metapools. Run under the tsan preset (ctest -L concurrency) these
 // must be data-race free; under any build they must be deterministic where
 // the workload is (disjoint per-thread address regions).
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <random>
 #include <thread>
 #include <vector>
@@ -238,15 +241,16 @@ TEST(RuntimeConcurrencyTest, CacheToggleDuringTraffic) {
 // Bump pages over a bounded span, so a pool over them can be slab-indexed.
 class BoundedPages : public PageProvider {
  public:
+  explicit BoundedPages(uint64_t span = 1ull << 22) : span_(span) {}
   uint64_t AllocatePage() override {
     uint64_t page = next_.fetch_add(4096, std::memory_order_relaxed);
-    return page + 4096 <= kSpan ? page : 0;
+    return page + 4096 <= span_ ? page : 0;
   }
   uint64_t page_size() const override { return 4096; }
-  uint64_t span() const override { return kSpan; }
+  uint64_t span() const override { return span_; }
 
  private:
-  static constexpr uint64_t kSpan = 1ull << 22;
+  const uint64_t span_;
   std::atomic<uint64_t> next_{4096};
 };
 
@@ -308,6 +312,138 @@ TEST(RuntimeConcurrencyTest, SlabPoolRegisterCheckDropStress) {
   EXPECT_EQ(stats.bounds_failed, 2 * ops);
   EXPECT_EQ(rt.violations().size(), 2 * ops);
   EXPECT_EQ(stats.splay_comparisons, 0u);
+}
+
+// Four CPUs allocate from one kmem_cache and from kmalloc, hand every
+// object to the next CPU and free what the previous CPU handed them, so
+// nearly every free lands in a different CPU's magazine than its
+// allocation came from and slots migrate through the shared depot. No slot
+// may be handed out twice, and at quiescence the counters and the
+// live-set enumeration must name exactly the objects still in flight.
+TEST(RuntimeConcurrencyTest, CrossCpuAllocFreeKeepsLiveSetsExact) {
+  constexpr unsigned kCpus = 4;
+  constexpr int kRounds = 200;
+  constexpr int kBatch = 24;
+  constexpr uint64_t kObject = 48;
+  constexpr uint64_t kSizes[] = {16, 100, 500, 2000};
+  // Room for every object of the run to be in flight at once: a CPU that
+  // runs ahead fills its neighbour's mailbox before the neighbour drains.
+  constexpr uint64_t kSpan = 1ull << 26;
+  BoundedPages pages(kSpan);
+  PoolAllocator cache("obj", kObject, pages);
+  OrdinaryAllocator kmalloc(pages);
+  // One claim flag per 8-byte address: set while some CPU holds the object
+  // starting there.
+  std::vector<std::atomic<uint8_t>> held(kSpan / 8);
+  struct Mailbox {
+    std::mutex lock;
+    std::vector<uint64_t> objects;
+    std::vector<uint64_t> buffers;
+  };
+  std::array<Mailbox, kCpus> boxes;
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<unsigned> started{0};
+
+  RunOnThreads(kCpus, [&](unsigned cpu) {
+    // Start together, so the CPUs' rounds overlap.
+    started.fetch_add(1);
+    while (started.load() < kCpus) {
+      std::this_thread::yield();
+    }
+    auto claim = [&](uint64_t addr) {
+      if (addr == 0 || held[addr / 8].exchange(1) != 0) {
+        wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+    auto release = [&](uint64_t addr) {
+      if (held[addr / 8].exchange(0) != 1) {
+        wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<uint64_t> objects;
+      std::vector<uint64_t> buffers;
+      for (int i = 0; i < kBatch; ++i) {
+        uint64_t obj = cache.Allocate();
+        claim(obj);
+        objects.push_back(obj);
+        const uint64_t size = kSizes[(round + i) % 4];
+        uint64_t buf = kmalloc.Allocate(size);
+        claim(buf);
+        if (kmalloc.AllocationSize(buf) !=
+            kmalloc.CacheFor(size)->object_size()) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+        buffers.push_back(buf);
+      }
+      {
+        Mailbox& next = boxes[(cpu + 1) % kCpus];
+        std::lock_guard<std::mutex> guard(next.lock);
+        next.objects.insert(next.objects.end(), objects.begin(),
+                            objects.end());
+        next.buffers.insert(next.buffers.end(), buffers.begin(),
+                            buffers.end());
+      }
+      objects.clear();
+      buffers.clear();
+      {
+        Mailbox& mine = boxes[cpu];
+        std::lock_guard<std::mutex> guard(mine.lock);
+        objects.swap(mine.objects);
+        buffers.swap(mine.buffers);
+      }
+      for (uint64_t obj : objects) {
+        release(obj);
+        if (!cache.Free(obj).ok()) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      for (uint64_t buf : buffers) {
+        release(buf);
+        if (!kmalloc.Free(buf).ok()) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+  EXPECT_EQ(wrong.load(), 0u);
+
+  std::vector<uint64_t> objects;
+  std::vector<uint64_t> buffers;
+  for (Mailbox& box : boxes) {
+    objects.insert(objects.end(), box.objects.begin(), box.objects.end());
+    buffers.insert(buffers.end(), box.buffers.begin(), box.buffers.end());
+  }
+  EXPECT_EQ(cache.live_objects(), objects.size());
+  EXPECT_EQ(cache.total_allocations(), uint64_t{kCpus} * kRounds * kBatch);
+  std::vector<uint64_t> listed = cache.LiveObjects();
+  std::sort(listed.begin(), listed.end());
+  std::sort(objects.begin(), objects.end());
+  EXPECT_EQ(listed, objects);
+  std::vector<uint64_t> listed_buffers;
+  uint64_t live_buffers = 0;
+  for (const auto& cls : kmalloc.caches()) {
+    live_buffers += cls->live_objects();
+    for (uint64_t addr : cls->LiveObjects()) {
+      listed_buffers.push_back(addr);
+    }
+  }
+  EXPECT_EQ(live_buffers, buffers.size());
+  std::sort(listed_buffers.begin(), listed_buffers.end());
+  std::sort(buffers.begin(), buffers.end());
+  EXPECT_EQ(listed_buffers, buffers);
+
+  for (uint64_t obj : objects) {
+    ASSERT_TRUE(cache.Free(obj).ok());
+  }
+  for (uint64_t buf : buffers) {
+    ASSERT_TRUE(kmalloc.Free(buf).ok());
+  }
+  EXPECT_EQ(cache.live_objects(), 0u);
+  EXPECT_TRUE(cache.LiveObjects().empty());
+  for (const auto& cls : kmalloc.caches()) {
+    EXPECT_EQ(cls->live_objects(), 0u) << cls->name();
+  }
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ namespace {
 constexpr uint64_t kPage = 4096;
 constexpr uint64_t kSpan = 64 * kPage;
 
-// Bump pages over [kPage, span): a bounded provider, as the machine's is.
+// Bump pages over [kPage, span), as the machine hands them out.
 class SpanPages : public PageProvider {
  public:
   explicit SpanPages(uint64_t span = kSpan) : span_(span) {}
@@ -33,12 +33,6 @@ class SpanPages : public PageProvider {
  private:
   const uint64_t span_;
   uint64_t next_ = kPage;
-};
-
-// Same pages, no promised bound.
-class UnboundedPages : public SpanPages {
- public:
-  uint64_t span() const override { return 0; }
 };
 
 // Objects of 36 bytes in 40-byte slots: 4 bytes of padding per slot, and
@@ -208,14 +202,9 @@ TEST_F(SlabPoolTest, LookupStartNeedsTheExactStart) {
 TEST(SlabRegistryTest, PoolsThatDoNotFitKeepTheSplayRegistry) {
   MetaPoolRuntime rt;
   SpanPages bounded;
-  UnboundedPages unbounded;
   // Slots larger than a page.
   PoolAllocator big("big", 5000, bounded);
   EXPECT_FALSE(rt.CreatePool("big", true, 5000, true)->UseSlabRegistry(big));
-  // A page provider with no bound.
-  PoolAllocator loose("loose", 64, unbounded);
-  EXPECT_FALSE(
-      rt.CreatePool("loose", true, 64, true)->UseSlabRegistry(loose));
   // A pool that already holds tree objects.
   PoolAllocator fits("fits", 64, bounded);
   MetaPool* used = rt.CreatePool("used", true, 64, true);
