@@ -1,6 +1,7 @@
 #include "src/hw/machine.h"
 
 #include <cstring>
+#include <new>
 
 #include "src/support/strings.h"
 
@@ -199,45 +200,72 @@ FrameType Mmu::frame_type(uint64_t paddr) const {
   return pfn < frame_types_.size() ? frame_types_[pfn] : FrameType::kUnused;
 }
 
+// Seqlock protocol. A writer (under mu_) makes seq odd, stores the fields
+// with release, and makes seq even again with release. A reader loads seq
+// with acquire, the fields with acquire, and seq again: the acquire field
+// loads keep the re-check after them, and a field value written by a later
+// writer carries that writer's odd store with it, so a torn read always
+// shows as a changed or odd seq and is retried.
 bool Tlb::Lookup(uint32_t asid, uint64_t vaddr, PageTableEntry* out) {
   const uint64_t vpage = vaddr / kPageSize;
-  std::lock_guard<std::mutex> guard(mu_);
   const Entry& e = entries_[SlotFor(asid, vpage)];
-  if (e.valid && e.asid == asid && e.vpage == vpage) {
-    ++hits_;
-    *out = e.pte;
+  uint32_t seq;
+  bool match;
+  PageTableEntry pte;
+  do {
+    seq = e.seq.load(std::memory_order_acquire);
+    match = e.asid.load(std::memory_order_acquire) == asid &&
+            e.vpage.load(std::memory_order_acquire) == vpage;
+    pte.physical_page = e.phys.load(std::memory_order_acquire);
+    pte.flags = e.flags.load(std::memory_order_acquire);
+  } while ((seq & 1) != 0 || e.seq.load(std::memory_order_relaxed) != seq);
+  if (match) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    *out = pte;
     return true;
   }
-  ++misses_;
+  misses_.fetch_add(1, std::memory_order_relaxed);
   return false;
+}
+
+void Tlb::Store(Entry& e, uint32_t asid, uint64_t vpage,
+                const PageTableEntry& pte) {
+  const uint32_t seq = e.seq.load(std::memory_order_relaxed);
+  e.seq.store(seq + 1, std::memory_order_relaxed);
+  e.asid.store(asid, std::memory_order_release);
+  e.vpage.store(vpage, std::memory_order_release);
+  e.phys.store(pte.physical_page, std::memory_order_release);
+  e.flags.store(pte.flags, std::memory_order_release);
+  e.seq.store(seq + 2, std::memory_order_release);
+}
+
+void Tlb::Invalidate(Entry& e) {
+  Store(e, 0, kInvalidVpage, PageTableEntry{});
+  invalidations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Tlb::Insert(uint32_t asid, uint64_t vaddr, const PageTableEntry& pte) {
   const uint64_t vpage = vaddr / kPageSize;
   std::lock_guard<std::mutex> guard(mu_);
-  Entry& e = entries_[SlotFor(asid, vpage)];
-  e.valid = true;
-  e.asid = asid;
-  e.vpage = vpage;
-  e.pte = pte;
+  Store(entries_[SlotFor(asid, vpage)], asid, vpage, pte);
 }
 
 void Tlb::InvalidatePage(uint32_t asid, uint64_t vaddr) {
   const uint64_t vpage = vaddr / kPageSize;
   std::lock_guard<std::mutex> guard(mu_);
   Entry& e = entries_[SlotFor(asid, vpage)];
-  if (e.valid && e.asid == asid && e.vpage == vpage) {
-    e.valid = false;
-    ++invalidations_;
+  if (e.asid.load(std::memory_order_relaxed) == asid &&
+      e.vpage.load(std::memory_order_relaxed) == vpage) {
+    Invalidate(e);
   }
 }
 
 void Tlb::InvalidateAsid(uint32_t asid) {
   std::lock_guard<std::mutex> guard(mu_);
   for (Entry& e : entries_) {
-    if (e.valid && e.asid == asid) {
-      e.valid = false;
-      ++invalidations_;
+    if (e.vpage.load(std::memory_order_relaxed) != kInvalidVpage &&
+        e.asid.load(std::memory_order_relaxed) == asid) {
+      Invalidate(e);
     }
   }
 }
@@ -245,25 +273,30 @@ void Tlb::InvalidateAsid(uint32_t asid) {
 void Tlb::InvalidateAll() {
   std::lock_guard<std::mutex> guard(mu_);
   for (Entry& e : entries_) {
-    if (e.valid) {
-      e.valid = false;
-      ++invalidations_;
+    if (e.vpage.load(std::memory_order_relaxed) != kInvalidVpage) {
+      Invalidate(e);
     }
   }
 }
 
 Tlb::Stats Tlb::stats() const {
-  std::lock_guard<std::mutex> guard(mu_);
   Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.invalidations = invalidations_;
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.misses = misses_.load(std::memory_order_relaxed);
+  s.invalidations = invalidations_.load(std::memory_order_relaxed);
   s.shootdowns_received = shootdowns_.load(std::memory_order_relaxed);
   return s;
 }
 
+PhysicalMemory::PhysicalMemory(uint64_t bytes)
+    : map_(bytes), bytes_(static_cast<uint8_t*>(map_.data())), size_(bytes) {
+  if (bytes != 0 && bytes_ == nullptr) {
+    throw std::bad_alloc();
+  }
+}
+
 Result<uint64_t> PhysicalMemory::Read(uint64_t paddr, unsigned width) const {
-  if (paddr + width > bytes_.size()) {
+  if (!Contains(paddr, width)) {
     return OutOfRange(StrCat("physical read beyond memory at 0x", std::hex,
                              paddr));
   }
@@ -275,7 +308,7 @@ Result<uint64_t> PhysicalMemory::Read(uint64_t paddr, unsigned width) const {
 }
 
 Status PhysicalMemory::Write(uint64_t paddr, unsigned width, uint64_t value) {
-  if (paddr + width > bytes_.size()) {
+  if (!Contains(paddr, width)) {
     return OutOfRange(StrCat("physical write beyond memory at 0x", std::hex,
                              paddr));
   }
@@ -286,26 +319,35 @@ Status PhysicalMemory::Write(uint64_t paddr, unsigned width, uint64_t value) {
 }
 
 Status PhysicalMemory::Copy(uint64_t dst, uint64_t src, uint64_t len) {
-  if (dst + len > bytes_.size() || src + len > bytes_.size()) {
+  if (!Contains(dst, len) || !Contains(src, len)) {
     return OutOfRange("physical copy beyond memory");
   }
-  std::memmove(bytes_.data() + dst, bytes_.data() + src, len);
+  std::memmove(bytes_ + dst, bytes_ + src, len);
   return OkStatus();
 }
 
 Status PhysicalMemory::Fill(uint64_t addr, uint8_t value, uint64_t len) {
-  if (addr + len > bytes_.size()) {
+  if (!Contains(addr, len)) {
     return OutOfRange("physical fill beyond memory");
   }
-  std::memset(bytes_.data() + addr, value, len);
+  std::memset(bytes_ + addr, value, len);
   return OkStatus();
+}
+
+BlockDevice::BlockDevice(uint64_t sectors)
+    : map_(sectors * kSectorSize),
+      data_(static_cast<uint8_t*>(map_.data())),
+      sectors_(sectors) {
+  if (sectors != 0 && data_ == nullptr) {
+    throw std::bad_alloc();
+  }
 }
 
 Status BlockDevice::ReadSector(uint64_t sector, uint8_t* out) {
   if (sector >= num_sectors()) {
     return OutOfRange(StrCat("disk read beyond device: sector ", sector));
   }
-  std::memcpy(out, data_.data() + sector * kSectorSize, kSectorSize);
+  std::memcpy(out, data_ + sector * kSectorSize, kSectorSize);
   ++reads_;
   return OkStatus();
 }
@@ -314,7 +356,7 @@ Status BlockDevice::WriteSector(uint64_t sector, const uint8_t* in) {
   if (sector >= num_sectors()) {
     return OutOfRange(StrCat("disk write beyond device: sector ", sector));
   }
-  std::memcpy(data_.data() + sector * kSectorSize, in, kSectorSize);
+  std::memcpy(data_ + sector * kSectorSize, in, kSectorSize);
   ++writes_;
   return OkStatus();
 }

@@ -22,6 +22,7 @@
 
 #include "src/hw/nic.h"
 #include "src/support/status.h"
+#include "src/support/zero_filled_map.h"
 
 namespace sva::hw {
 
@@ -188,6 +189,12 @@ class Mmu {
 // SvaOS::TlbShootdown, which invalidates every configured CPU's TLB before
 // the mutating MMU op returns — the synchronous model of a shootdown IPI
 // round with acks.
+//
+// Lookup takes no lock: each entry is a seqlock (an even/odd sequence plus
+// atomic fields), so the owning CPU reads it while a remote CPU may be
+// invalidating it. Insert and the Invalidate* family serialize on mu_, which
+// only writers take. Once an Invalidate* returns, no Lookup that starts
+// later returns the entry it removed.
 class Tlb {
  public:
   static constexpr size_t kEntries = 64;
@@ -216,37 +223,58 @@ class Tlb {
   Stats stats() const;
 
  private:
+  // No virtual page number reaches this value (vaddr / kPageSize < 2^52),
+  // so an entry holding it matches no lookup.
+  static constexpr uint64_t kInvalidVpage = ~uint64_t{0};
+
   struct Entry {
-    bool valid = false;
-    uint32_t asid = 0;
-    uint64_t vpage = 0;
-    PageTableEntry pte;
+    std::atomic<uint32_t> seq{0};  // Odd while a writer is mid-update.
+    std::atomic<uint32_t> asid{0};
+    std::atomic<uint64_t> vpage{kInvalidVpage};
+    std::atomic<uint64_t> phys{0};
+    std::atomic<uint32_t> flags{0};
   };
   static size_t SlotFor(uint32_t asid, uint64_t vpage) {
     return static_cast<size_t>(vpage ^ asid) % kEntries;
   }
+  // Rewrites `e` inside its seqlock write section; mu_ must be held.
+  static void Store(Entry& e, uint32_t asid, uint64_t vpage,
+                    const PageTableEntry& pte);
+  void Invalidate(Entry& e);  // mu_ held.
 
-  mutable std::mutex mu_;  // Unranked leaf (remote CPUs invalidate).
+  std::mutex mu_;  // Writers only (Insert, Invalidate*); unranked leaf.
   std::array<Entry, kEntries> entries_{};
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t invalidations_ = 0;
+  std::atomic<uint64_t> invalidations_{0};
   std::atomic<uint64_t> shootdowns_{0};
+  // Bumped by the CPU that owns this TLB; kept off the lines remote
+  // invalidations write.
+  alignas(64) std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> misses_{0};
 };
 
+// Guest RAM. Lazily zero-filled (src/support/zero_filled_map.h): a guest
+// costs host memory only for the pages it writes. Construction throws
+// std::bad_alloc when the memory cannot be mapped, as a failed allocation
+// would; a machine never boots on less memory than it asked for.
 class PhysicalMemory {
  public:
-  explicit PhysicalMemory(uint64_t bytes) : bytes_(bytes, 0) {}
+  explicit PhysicalMemory(uint64_t bytes);
 
-  uint64_t size() const { return bytes_.size(); }
+  uint64_t size() const { return size_; }
+  // True if [paddr, paddr + len) lies inside memory.
+  bool Contains(uint64_t paddr, uint64_t len) const {
+    return paddr <= size_ && len <= size_ - paddr;
+  }
   Result<uint64_t> Read(uint64_t paddr, unsigned width) const;
   Status Write(uint64_t paddr, unsigned width, uint64_t value);
   Status Copy(uint64_t dst, uint64_t src, uint64_t len);
   Status Fill(uint64_t addr, uint8_t value, uint64_t len);
-  uint8_t* raw(uint64_t paddr) { return bytes_.data() + paddr; }
+  uint8_t* raw(uint64_t paddr) { return bytes_ + paddr; }
 
  private:
-  std::vector<uint8_t> bytes_;
+  ZeroFilledMap map_;
+  uint8_t* bytes_;
+  uint64_t size_;
 };
 
 // --- Devices -------------------------------------------------------------------
@@ -330,16 +358,20 @@ class TimerDevice {
 class BlockDevice {
  public:
   static constexpr uint64_t kSectorSize = 512;
-  explicit BlockDevice(uint64_t sectors) : data_(sectors * kSectorSize, 0) {}
+  // Lazily zero-filled like PhysicalMemory, and throws std::bad_alloc the
+  // same way.
+  explicit BlockDevice(uint64_t sectors);
 
-  uint64_t num_sectors() const { return data_.size() / kSectorSize; }
+  uint64_t num_sectors() const { return sectors_; }
   Status ReadSector(uint64_t sector, uint8_t* out);
   Status WriteSector(uint64_t sector, const uint8_t* in);
   uint64_t reads() const { return reads_; }
   uint64_t writes() const { return writes_; }
 
  private:
-  std::vector<uint8_t> data_;
+  ZeroFilledMap map_;
+  uint8_t* data_;
+  uint64_t sectors_;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
 };

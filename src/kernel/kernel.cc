@@ -450,8 +450,8 @@ Result<uint64_t> Kernel::UserToPhysical(Task& task, uint64_t uaddr,
                                         bool write) {
   // SVA-PORT(svaos): translation goes through the task's address space —
   // per-CPU TLB hit on the fast path, page-fault-driven demand fill (or
-  // COW break, for writes) on a miss. Net-path workers share the task off
-  // the BKL; VmManager::Resolve serializes faults on the AS lock.
+  // COW break, for writes) on a miss. Concurrent workers may share the
+  // task; VmManager::Resolve serializes faults on the AS lock.
   return vm_.Resolve(*task.aspace, uaddr, write);
 }
 
@@ -466,118 +466,111 @@ Status Kernel::CheckUserRange(Task& task, uint64_t uaddr, uint64_t len) {
   return pools_.BoundsCheck(*user_pool_, uaddr, last);
 }
 
-Status Kernel::ReadUserPath(Task& task, uint64_t path_uaddr,
-                            std::string* out) {
-  // Byte-wise NUL-terminated user-string copy with no kernel staging
-  // buffer: the lock-free SysStat path must not touch the allocators (their
-  // stripe locks are cheap, but the point of the fast path is zero shared
-  // writes).
-  out->clear();
-  for (uint64_t i = 0; i < kMaxPathLength; ++i) {
-    SVA_RETURN_IF_ERROR(CheckUserRange(task, path_uaddr + i, 1));
-    SVA_ASSIGN_OR_RETURN(
-        uint64_t pa, UserToPhysical(task, path_uaddr + i, /*write=*/false));
-    SVA_ASSIGN_OR_RETURN(uint64_t c, machine_.memory().Read(pa, 1));
-    if (c == 0) {
+template <typename Fn>
+Status Kernel::ForEachUserPage(Task& task, uint64_t uaddr, uint64_t len,
+                               bool write, Fn&& fn) {
+  hw::PhysicalMemory& mem = machine_.memory();
+  for (uint64_t done = 0; done < len;) {
+    const uint64_t va = uaddr + done;
+    const uint64_t chunk =
+        std::min(len - done, hw::kPageSize - va % hw::kPageSize);
+    SVA_ASSIGN_OR_RETURN(uint64_t pa, UserToPhysical(task, va, write));
+    if (!mem.Contains(pa, chunk)) {
+      return OutOfRange(
+          StrCat("user page beyond physical memory at 0x", std::hex, va));
+    }
+    if (!fn(mem.raw(pa), done, chunk)) {
       break;
     }
-    out->push_back(static_cast<char>(c));
+    done += chunk;
   }
   return OkStatus();
+}
+
+Status Kernel::ReadUserPath(Task& task, uint64_t path_uaddr,
+                            std::string* out) {
+  // No kernel staging buffer: the lock-free SysStat path must not touch
+  // the allocators (their stripe locks are cheap, but the point of the fast
+  // path is zero shared writes).
+  out->clear();
+  bool terminated = false;
+  Status walk = ForEachUserPage(
+      task, path_uaddr, kMaxPathLength, /*write=*/false,
+      [&](const uint8_t* user, uint64_t, uint64_t chunk) {
+        const auto* nul =
+            static_cast<const uint8_t*>(std::memchr(user, 0, chunk));
+        out->append(reinterpret_cast<const char*>(user),
+                    nul == nullptr ? chunk : nul - user);
+        terminated = nul != nullptr;
+        return !terminated;
+      });
+  // The userspace pool is one object, so one check over exactly the bytes
+  // consumed — through the NUL, or through the first byte whose page did
+  // not translate — decides what a check per byte would, and never looks
+  // past the NUL.
+  const uint64_t consumed = out->size() + (terminated || !walk.ok() ? 1 : 0);
+  SVA_RETURN_IF_ERROR(CheckUserRange(task, path_uaddr, consumed));
+  return walk;
 }
 
 Status Kernel::CopyFromUser(Task& task, uint64_t kaddr, uint64_t uaddr,
                             uint64_t len) {
   SVA_RETURN_IF_ERROR(CheckUserRange(task, uaddr, len));
-  Bump(StatsShard().bytes_copied_user, len);
-  uint64_t copied = 0;
-  while (copied < len) {
-    SVA_ASSIGN_OR_RETURN(
-        uint64_t pa, UserToPhysical(task, uaddr + copied, /*write=*/false));
-    uint64_t in_page = hw::kPageSize - (uaddr + copied) % hw::kPageSize;
-    uint64_t chunk = std::min(len - copied, in_page);
-    SVA_RETURN_IF_ERROR(machine_.memory().Copy(kaddr + copied, pa, chunk));
-    copied += chunk;
-  }
-  return OkStatus();
+  return CopyBlock(task, uaddr, kaddr, len, /*to_user=*/false);
 }
 
 Status Kernel::CopyToUser(Task& task, uint64_t uaddr, uint64_t kaddr,
                           uint64_t len) {
   SVA_RETURN_IF_ERROR(CheckUserRange(task, uaddr, len));
-  Bump(StatsShard().bytes_copied_user, len);
-  uint64_t copied = 0;
-  while (copied < len) {
-    SVA_ASSIGN_OR_RETURN(
-        uint64_t pa, UserToPhysical(task, uaddr + copied, /*write=*/true));
-    uint64_t in_page = hw::kPageSize - (uaddr + copied) % hw::kPageSize;
-    uint64_t chunk = std::min(len - copied, in_page);
-    SVA_RETURN_IF_ERROR(machine_.memory().Copy(pa, kaddr + copied, chunk));
-    copied += chunk;
-  }
-  return OkStatus();
+  return CopyBlock(task, uaddr, kaddr, len, /*to_user=*/true);
 }
 
-Status Kernel::CopyBlockToUser(Task& task, uint64_t uaddr, uint64_t kaddr,
-                               uint64_t len) {
-  // Copy with the range checks already hoisted by the caller.
+Status Kernel::CopyBlock(Task& task, uint64_t uaddr, uint64_t kaddr,
+                         uint64_t len, bool to_user) {
   Bump(StatsShard().bytes_copied_user, len);
-  uint64_t copied = 0;
-  while (copied < len) {
-    SVA_ASSIGN_OR_RETURN(
-        uint64_t pa, UserToPhysical(task, uaddr + copied, /*write=*/true));
-    uint64_t in_page = hw::kPageSize - (uaddr + copied) % hw::kPageSize;
-    uint64_t chunk = std::min(len - copied, in_page);
-    SVA_RETURN_IF_ERROR(machine_.memory().Copy(pa, kaddr + copied, chunk));
-    copied += chunk;
+  hw::PhysicalMemory& mem = machine_.memory();
+  if (!mem.Contains(kaddr, len)) {
+    return OutOfRange("kernel buffer beyond physical memory");
   }
-  return OkStatus();
-}
-
-Status Kernel::CopyBlockFromUser(Task& task, uint64_t kaddr, uint64_t uaddr,
-                                 uint64_t len) {
-  Bump(StatsShard().bytes_copied_user, len);
-  uint64_t copied = 0;
-  while (copied < len) {
-    SVA_ASSIGN_OR_RETURN(
-        uint64_t pa, UserToPhysical(task, uaddr + copied, /*write=*/false));
-    uint64_t in_page = hw::kPageSize - (uaddr + copied) % hw::kPageSize;
-    uint64_t chunk = std::min(len - copied, in_page);
-    SVA_RETURN_IF_ERROR(machine_.memory().Copy(kaddr + copied, pa, chunk));
-    copied += chunk;
-  }
-  return OkStatus();
+  // memmove, not memcpy, here and in Peek/PokeUser: GCC expands a memcpy
+  // whose size it knows is at most a page into an inline `rep movsq`, far
+  // slower than the library call for the few-byte copies most syscalls
+  // make; memmove stays a call.
+  return ForEachUserPage(
+      task, uaddr, len, /*write=*/to_user,
+      [&](uint8_t* user, uint64_t done, uint64_t chunk) {
+        uint8_t* kernel = mem.raw(kaddr + done);
+        std::memmove(to_user ? user : kernel, to_user ? kernel : user, chunk);
+        return true;
+      });
 }
 
 Status Kernel::PokeUser(uint64_t uaddr, const void* data, uint64_t len) {
-  std::lock_guard<smp::OrderedSpinLock> guard(bkl_);
+  smp::EpochGuard epoch_guard;  // Pins the task, as HandleSyscall does.
   Task* task = current_task();
   if (task == nullptr) {
     return Internal("no current task");
   }
   const auto* bytes = static_cast<const uint8_t*>(data);
-  for (uint64_t i = 0; i < len; ++i) {
-    SVA_ASSIGN_OR_RETURN(
-        uint64_t pa, UserToPhysical(*task, uaddr + i, /*write=*/true));
-    SVA_RETURN_IF_ERROR(machine_.memory().Write(pa, 1, bytes[i]));
-  }
-  return OkStatus();
+  return ForEachUserPage(*task, uaddr, len, /*write=*/true,
+                         [bytes](uint8_t* user, uint64_t done, uint64_t chunk) {
+                           std::memmove(user, bytes + done, chunk);
+                           return true;
+                         });
 }
 
 Status Kernel::PeekUser(uint64_t uaddr, void* data, uint64_t len) {
-  std::lock_guard<smp::OrderedSpinLock> guard(bkl_);
+  smp::EpochGuard epoch_guard;
   Task* task = current_task();
   if (task == nullptr) {
     return Internal("no current task");
   }
   auto* bytes = static_cast<uint8_t*>(data);
-  for (uint64_t i = 0; i < len; ++i) {
-    SVA_ASSIGN_OR_RETURN(
-        uint64_t pa, UserToPhysical(*task, uaddr + i, /*write=*/false));
-    SVA_ASSIGN_OR_RETURN(uint64_t v, machine_.memory().Read(pa, 1));
-    bytes[i] = static_cast<uint8_t>(v);
-  }
-  return OkStatus();
+  return ForEachUserPage(*task, uaddr, len, /*write=*/false,
+                         [bytes](uint8_t* user, uint64_t done, uint64_t chunk) {
+                           std::memmove(bytes + done, user, chunk);
+                           return true;
+                         });
 }
 
 Status Kernel::PokeUserString(uint64_t uaddr, const std::string& text) {
@@ -726,34 +719,31 @@ Result<int> Kernel::CreateTask(int parent_pid) {
 }
 
 Status Kernel::Yield() {
-  std::lock_guard<smp::OrderedSpinLock> guard(bkl_);
-  Task* current = current_task();
-  if (current == nullptr) {
+  // tasks_lock_ serializes the scheduler: the current task, the pick of the
+  // next alive task in pid order (round robin) and the switch itself are one
+  // critical section, so two host threads yielding at once cannot both
+  // switch away from the same task. The SVA-OS state save/load below takes
+  // no ranked lock.
+  std::lock_guard<smp::OrderedSpinLock> guard(tasks_lock_);
+  auto cur = tasks_.find(current_pid_);
+  if (cur == tasks_.end()) {
     return Internal("no current task");
   }
-  // Pick the next alive task in pid order (round robin). The map walk runs
-  // under tasks_lock_ (fork/wait mutate the structure off the BKL now);
-  // the picked node's address is stable, so the switch below runs on a
-  // plain pointer after release.
-  Task* next_task;
-  {
-    std::lock_guard<smp::OrderedSpinLock> tasks_guard(tasks_lock_);
-    auto it = tasks_.upper_bound(current_pid_);
-    while (true) {
-      if (it == tasks_.end()) {
-        it = tasks_.begin();
-      }
-      if (it->second.alive && !it->second.zombie) {
-        break;
-      }
-      ++it;
-      if (it != tasks_.end() && it->first == current_pid_) {
-        break;
-      }
+  Task* current = &cur->second;
+  auto it = tasks_.upper_bound(current_pid_);
+  while (true) {
+    if (it == tasks_.end()) {
+      it = tasks_.begin();
     }
-    next_task = &it->second;
+    if (it->second.alive && !it->second.zombie) {
+      break;
+    }
+    ++it;
+    if (it != tasks_.end() && it->first == current_pid_) {
+      break;
+    }
   }
-  Task& next = *next_task;
+  Task& next = it->second;
   if (next.pid == current_pid_) {
     return OkStatus();
   }
@@ -1211,8 +1201,8 @@ Result<uint64_t> Kernel::SysRead(uint64_t fd, uint64_t uaddr, uint64_t len) {
     uint64_t in_block = (offset + done) % kBlockSize;
     uint64_t chunk = std::min(to_read - done, kBlockSize - in_block);
     uint64_t block = inode.blocks[block_index];
-    SVA_RETURN_IF_ERROR(
-        CopyBlockToUser(task, uaddr + done, block + in_block, chunk));
+    SVA_RETURN_IF_ERROR(CopyBlock(task, uaddr + done, block + in_block, chunk,
+                                  /*to_user=*/true));
     done += chunk;
   }
   offset_ref.store(offset + to_read, std::memory_order_release);
@@ -1262,8 +1252,8 @@ Result<uint64_t> Kernel::SysWrite(uint64_t fd, uint64_t uaddr, uint64_t len) {
     }
     uint64_t chunk = std::min(len - done, kBlockSize - in_block);
     uint64_t block = inode.blocks[block_index];
-    SVA_RETURN_IF_ERROR(
-        CopyBlockFromUser(task, block + in_block, uaddr + done, chunk));
+    SVA_RETURN_IF_ERROR(CopyBlock(task, uaddr + done, block + in_block, chunk,
+                                  /*to_user=*/false));
     done += chunk;
   }
   offset_ref.store(offset + len, std::memory_order_release);
@@ -1400,8 +1390,9 @@ Result<uint64_t> Kernel::SysPipe(uint64_t uaddr_out) {
   pipe->buffer = buffer;
   int pipe_id;
   {
-    // SysPipe runs off the BKL, so the vector growth itself needs the lock
-    // (concurrent readers index pipes_ under it; Pipe nodes are stable).
+    // SysPipe runs concurrently with other syscalls, so the vector growth
+    // itself needs the lock (concurrent readers index pipes_ under it; Pipe
+    // nodes are stable).
     std::lock_guard<smp::OrderedSpinLock> guard(pipes_lock_);
     pipes_.push_back(std::move(pipe));
     pipe_id = static_cast<int>(pipes_.size() - 1);

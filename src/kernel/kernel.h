@@ -362,12 +362,14 @@ class Kernel {
                            uint64_t a2 = 0, uint64_t a3 = 0);
 
   // Cooperative scheduler: switch to the next runnable task (exercises the
-  // SVA-OS state save/restore path). Takes the big kernel lock.
+  // SVA-OS state save/restore path). Runs under tasks_lock_.
   Status Yield();
 
   // --- Host-side helpers for benchmarks and tests ----------------------------
   // Read/write the current task's user memory directly (as the "user
-  // program" would, without entering the kernel).
+  // program" would, without entering the kernel). Lock-free: the task is
+  // pinned by an EpochGuard, as in a syscall, and a page that is not
+  // resident faults in under its address-space lock.
   Status PokeUser(uint64_t uaddr, const void* data, uint64_t len);
   Status PeekUser(uint64_t uaddr, void* data, uint64_t len);
   // Writes a NUL-terminated path into user memory at `uaddr`.
@@ -412,22 +414,31 @@ class Kernel {
   // VmManager::Resolve slow path). `write` selects the access kind so COW
   // pages break on the first store, not on reads.
   Result<uint64_t> UserToPhysical(Task& task, uint64_t uaddr, bool write);
+  // The one user-memory walker behind every accessor below: translates each
+  // page of [uaddr, uaddr + len) once and calls
+  // `fn(uint8_t* host, uint64_t done, uint64_t chunk)` with the host bytes
+  // backing range bytes [done, done + chunk). `fn` returns false to stop.
+  // Fails at the first page that does not translate (no later page is
+  // touched) or that lies outside physical memory.
+  template <typename Fn>
+  Status ForEachUserPage(Task& task, uint64_t uaddr, uint64_t len, bool write,
+                         Fn&& fn);
   Status CopyFromUser(Task& task, uint64_t kaddr, uint64_t uaddr,
                       uint64_t len);
   Status CopyToUser(Task& task, uint64_t uaddr, uint64_t kaddr, uint64_t len);
-  // Copies with the safety checks hoisted by the caller (monotonic file
-  // block loops, Section 7.1.3 optimization 2).
-  Status CopyBlockToUser(Task& task, uint64_t uaddr, uint64_t kaddr,
-                         uint64_t len);
-  Status CopyBlockFromUser(Task& task, uint64_t kaddr, uint64_t uaddr,
-                           uint64_t len);
+  // Copies `len` bytes between user `uaddr` and kernel `kaddr` (to the user
+  // if `to_user`) with the safety checks hoisted by the caller (monotonic
+  // file block loops, Section 7.1.3 optimization 2).
+  Status CopyBlock(Task& task, uint64_t uaddr, uint64_t kaddr, uint64_t len,
+                   bool to_user);
   // Safe mode: bounds-check a user range against the userspace object.
   Status CheckUserRange(Task& task, uint64_t uaddr, uint64_t len);
-  // Copies a NUL-terminated path out of user memory byte-by-byte through
-  // the per-CPU TLB, bounds-checking each byte against the userspace
-  // object (safe mode). Takes no lock and no kernel allocation — the
-  // lock-free path-resolution syscalls (kStat, non-creating kOpen) use it
-  // instead of the Kmalloc + CopyFromUser staging the mutating path keeps.
+  // Copies a NUL-terminated path (at most kMaxPathLength bytes; longer ones
+  // truncate) out of user memory: memchr per page, then one bounds check
+  // against the userspace object over the bytes consumed (safe mode). Takes
+  // no lock and no kernel allocation — the lock-free path-resolution
+  // syscalls (kStat, non-creating kOpen) use it instead of the Kmalloc +
+  // CopyFromUser staging the mutating path keeps.
   Status ReadUserPath(Task& task, uint64_t path_uaddr, std::string* out);
 
   // --- Syscall implementations ---------------------------------------------------
@@ -470,14 +481,14 @@ class Kernel {
                            uint64_t dest);
   Result<uint64_t> NetRecv(Task& task, int sid, uint64_t uaddr, uint64_t len);
   // Event-queue syscall backends (src/kernel/evq.cc; run under evq_lock_ +
-  // per-queue locks, never under the big kernel lock).
+  // per-queue locks).
   Result<uint64_t> SysEvqCreate();
   Result<uint64_t> SysEvqCtl(uint64_t evq_fd, uint64_t op_and_interest,
                              uint64_t target_fd, uint64_t user_data);
   Result<uint64_t> SysEvqWait(uint64_t evq_fd, uint64_t uaddr,
                               uint64_t max_events, uint64_t timeout_us);
   // Profiling syscall backends (src/kernel/prof.cc; run under prof_lock_, an
-  // unranked leaf, never under the big kernel lock).
+  // unranked leaf).
   Result<uint64_t> SysProfStart(uint64_t hz);
   Result<uint64_t> SysProfStop(uint64_t fd);
   Result<uint64_t> SysProfRead(uint64_t fd, uint64_t uaddr,
@@ -553,8 +564,8 @@ class Kernel {
   // builds by smp::LockOrderChecker). Rank order — a thread may only
   // acquire downward in this list, never upward:
   //
-  //   bkl_ -> vfs_lock_ -> tasks_lock_ -> pipes_lock_ -> evq_lock_
-  //        -> files_lock_ -> address-space locks (src/mm)
+  //   vfs_lock_ -> tasks_lock_ -> pipes_lock_ -> evq_lock_
+  //             -> files_lock_ -> address-space locks (src/mm)
   //
   // Address-space locks (one per task, rank kAddrSpace) sit at the BOTTOM:
   // user-copy page faults fire while vfs/pipes/files locks are held, so the
@@ -568,10 +579,9 @@ class Kernel {
   // copy loops under vfs_lock_/pipes_lock_ — and never call back into
   // kernel locks, so they are deliberately unranked.
   //
-  // The big kernel lock, demoted: it serializes only the cooperative
-  // scheduler (Yield) and the PokeUser/PeekUser host helpers. No syscall
-  // takes it.
-  mutable smp::OrderedSpinLock bkl_{smp::LockRank::kBkl};
+  // There is no big kernel lock: no syscall takes one, the scheduler
+  // (Yield) runs under tasks_lock_, and the PokeUser/PeekUser host helpers
+  // pin their task under an EpochGuard.
   // Guards ramfs MUTATION: inodes_, namespace_, next_ino_, inode block
   // lists and sizes, regular-file OpenFile offsets, and dir_index_
   // republication. Writer-only since the epoch conversion: path lookup

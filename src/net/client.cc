@@ -131,8 +131,13 @@ std::string LoopbackClient::TakeStream(int conn) {
   if (conn < 0 || static_cast<size_t>(conn) >= conns_.size()) {
     return "";
   }
-  std::string out;
-  out.swap(conns_[static_cast<size_t>(conn)].rx);
+  // Copy the bytes out and keep the buffer: a connection's receive buffer
+  // then grows once, instead of from empty on every reply. A reply that
+  // doubles it past malloc's mmap threshold (128 KB by default) would
+  // otherwise map, fault in and unmap fresh pages each time.
+  std::string& rx = conns_[static_cast<size_t>(conn)].rx;
+  std::string out(rx);
+  rx.clear();
   return out;
 }
 

@@ -3,9 +3,9 @@
 // (slab_registry.h).
 //
 // A table indexed by page or slot over a page provider's whole span is
-// large in address space but sparse in use. Anonymous private memory is
-// zero-filled by the OS on first touch, so such a table costs resident
-// memory only for the parts that cover pages somebody actually owns.
+// large in address space but sparse in use; a ZeroFilledMap
+// (src/support/zero_filled_map.h) costs resident memory only for the parts
+// that cover pages somebody actually owns.
 #ifndef SVA_SRC_RUNTIME_ATOMIC_BITMAP_H_
 #define SVA_SRC_RUNTIME_ATOMIC_BITMAP_H_
 
@@ -13,23 +13,9 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/support/zero_filled_map.h"
+
 namespace sva::runtime {
-
-// `bytes` of zeroed anonymous memory, unmapped on destruction. data() is
-// null when `bytes` is 0 or the mapping failed.
-class ZeroFilledMap {
- public:
-  explicit ZeroFilledMap(size_t bytes);
-  ~ZeroFilledMap();
-  ZeroFilledMap(const ZeroFilledMap&) = delete;
-  ZeroFilledMap& operator=(const ZeroFilledMap&) = delete;
-
-  void* data() const { return data_; }
-
- private:
-  void* data_ = nullptr;
-  size_t bytes_ = 0;
-};
 
 // A fixed-size bitmap whose bits are set, cleared and read with one atomic
 // operation each. All bits start clear; callers keep indexes in range.

@@ -7,8 +7,6 @@ namespace sva::smp {
 
 const char* LockRankName(LockRank rank) {
   switch (rank) {
-    case LockRank::kBkl:
-      return "bkl";
     case LockRank::kVfs:
       return "vfs";
     case LockRank::kTasks:
@@ -36,8 +34,8 @@ void LockOrderChecker::FatalInversion(LockRank incoming, const uint8_t* held,
                  static_cast<unsigned>(held[i]));
   }
   std::fprintf(stderr,
-               "]; required order is bkl -> vfs -> tasks -> pipes -> evq -> "
-               "files -> addrspace (docs/CONCURRENCY.md)\n");
+               "]; required order is vfs -> tasks -> pipes -> evq -> files "
+               "-> addrspace (docs/CONCURRENCY.md)\n");
   std::abort();
 }
 

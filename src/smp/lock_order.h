@@ -20,8 +20,8 @@
 // never call back into kernel locks, so ranking them would only add noise.
 // The invariant the checker protects is the kernel's own order:
 //
-//   bkl_ -> vfs_lock_ -> tasks_lock_ -> pipes_lock_ -> evq_lock_
-//        -> files_lock_ -> address-space locks
+//   vfs_lock_ -> tasks_lock_ -> pipes_lock_ -> evq_lock_
+//             -> files_lock_ -> address-space locks
 #ifndef SVA_SRC_SMP_LOCK_ORDER_H_
 #define SVA_SRC_SMP_LOCK_ORDER_H_
 
@@ -35,7 +35,6 @@ namespace sva::smp {
 // Ranks are spaced so a future subsystem lock can slot between existing
 // levels without renumbering. Lower rank = acquired earlier (outermost).
 enum class LockRank : uint8_t {
-  kBkl = 0,     // Big kernel lock: scheduler + host helpers only.
   kVfs = 10,    // vfs_lock_: ramfs namespace, inodes, file offsets.
   kTasks = 20,  // tasks_lock_: pid->task map structure, pid allocation.
   kPipes = 40,  // pipes_lock_: pipe table + ring state.

@@ -1,9 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <new>
+#include <string>
+
 #include "src/hw/machine.h"
 
 namespace sva::hw {
 namespace {
+
+// This process's resident set in kB, from /proc/self/status; -1 if the
+// file or its VmRSS line is missing.
+long VmRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stol(line.substr(6));
+    }
+  }
+  return -1;
+}
 
 TEST(PhysicalMemoryTest, ReadWriteWidths) {
   PhysicalMemory mem(1 << 16);
@@ -22,6 +39,40 @@ TEST(PhysicalMemoryTest, CopyAndFill) {
   ASSERT_TRUE(mem.Copy(0x400, 0x200, 64).ok());
   EXPECT_EQ(*mem.Read(0x43F, 1), 0xABull);
   EXPECT_FALSE(mem.Copy(0x400, (1 << 16) - 8, 64).ok());
+}
+
+TEST(PhysicalMemoryTest, GuestMemoryAndDiskAreLazilyZeroFilled) {
+  const long before = VmRssKb();
+  ASSERT_GT(before, 0);
+  Machine machine(1ull << 30);
+  EXPECT_LT(VmRssKb() - before, 16 * 1024) << "a 1 GiB guest was committed";
+  EXPECT_EQ(machine.memory().size(), 1ull << 30);
+  EXPECT_EQ(*machine.memory().Read((1ull << 30) - 8, 8), 0u);
+  ASSERT_TRUE(machine.memory().Write(512ull << 20, 8, 0x5A5A).ok());
+  EXPECT_EQ(*machine.memory().Read(512ull << 20, 8), 0x5A5Au);
+  uint8_t sector[BlockDevice::kSectorSize] = {1};
+  ASSERT_TRUE(machine.disk().ReadSector(machine.disk().num_sectors() - 1,
+                                        sector).ok());
+  EXPECT_EQ(sector[0], 0u);
+}
+
+TEST(PhysicalMemoryTest, MemoryThatCannotBeMappedFailsConstruction) {
+  // Past any host address space: the mapping fails, and the device must
+  // not come up empty.
+  EXPECT_THROW(PhysicalMemory(uint64_t{1} << 62), std::bad_alloc);
+  EXPECT_THROW(BlockDevice(uint64_t{1} << 53), std::bad_alloc);
+  PhysicalMemory empty(0);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_FALSE(empty.Read(0, 1).ok());
+}
+
+TEST(PhysicalMemoryTest, ContainsRejectsWrappingRanges) {
+  PhysicalMemory mem(1 << 16);
+  EXPECT_TRUE(mem.Contains(0, 1 << 16));
+  EXPECT_TRUE(mem.Contains(1 << 16, 0));
+  EXPECT_FALSE(mem.Contains(1, 1 << 16));
+  EXPECT_FALSE(mem.Contains(8, ~uint64_t{0} - 4));
+  EXPECT_FALSE(mem.Copy(0, 8, ~uint64_t{0} - 4).ok());
 }
 
 TEST(MmuTest, MapTranslateUnmap) {

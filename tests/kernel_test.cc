@@ -586,9 +586,9 @@ TEST(KernelSafetyTest, FailedForkUnwindsTheChild) {
 
 // Drives read/write/send/recv over every fd kind (regular file, pipe,
 // datagram socket, accepted stream connection), evq_wait, the task
-// lifecycle, and the scheduler and host helpers on the BKL, with the
-// lock-order checker force-enabled: any acquisition that violates the
-// documented hierarchy (bkl -> vfs -> tasks -> pipes -> evq -> files)
+// lifecycle, the scheduler and the host helpers, with the lock-order
+// checker force-enabled: any acquisition that violates the documented
+// hierarchy (vfs -> tasks -> pipes -> evq -> files)
 // aborts the process, so passing IS the assertion. Runs in every build
 // type — tier-1 is RelWithDebInfo, where the checker is compiled in but
 // default-off.
@@ -694,6 +694,119 @@ TEST(KernelSafetyTest, ContextSwitchUsesLazyFpSave) {
   h.machine_.cpu().WriteFpRegister(0, 1.25);
   ASSERT_TRUE(h.k().Yield().ok());
   EXPECT_EQ(h.k().svaos().stats().save_fp, saved_before + 1);
+}
+
+// --- The user-memory page walker ---------------------------------------------
+
+// Lookups (hits + misses) on the calling thread's TLB: one per page a user
+// access translates.
+uint64_t TlbLookups(Kernel& k) {
+  hw::Tlb::Stats s = k.svaos().current_cpu().tlb().stats();
+  return s.hits + s.misses;
+}
+
+TEST(KernelUserAccessTest, PeekAndPokeTranslateOncePerPage) {
+  KernelHarness h(KernelMode::kSvaSafe);
+  std::vector<uint8_t> data(64);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const uint64_t at = h.user(hw::kPageSize - 32);  // 32 bytes on each page.
+  uint64_t before = TlbLookups(h.k());
+  ASSERT_TRUE(h.k().PokeUser(at, data.data(), data.size()).ok());
+  EXPECT_EQ(TlbLookups(h.k()) - before, 2u);
+  std::vector<uint8_t> back(data.size());
+  before = TlbLookups(h.k());
+  ASSERT_TRUE(h.k().PeekUser(at, back.data(), back.size()).ok());
+  EXPECT_EQ(TlbLookups(h.k()) - before, 2u);
+  EXPECT_EQ(back, data);
+}
+
+TEST(KernelUserAccessTest, PokeIntoCowSharedPagesBreaksEachPageOnce) {
+  KernelHarness h(KernelMode::kSvaSafe);
+  const uint64_t offset = hw::kPageSize - 16;
+  const char shared[] = "shared over a page boundary";
+  ASSERT_TRUE(h.k().PokeUser(h.user(offset), shared, sizeof(shared)).ok());
+  ASSERT_EQ(h.Call(Sys::kFork), 2u);
+  const uint64_t breaks_before = h.k().vm().stats().cow_faults;
+  const char mine[] = "the parent's own new bytes!";
+  static_assert(sizeof(mine) == sizeof(shared));
+  ASSERT_TRUE(h.k().PokeUser(h.user(offset), mine, sizeof(mine)).ok());
+  EXPECT_EQ(h.k().vm().stats().cow_faults - breaks_before, 2u);
+  char back[sizeof(mine)] = {};
+  ASSERT_TRUE(h.k().PeekUser(h.user(offset), back, sizeof(back)).ok());
+  EXPECT_STREQ(back, mine);
+  // The child still sees the bytes from before the break.
+  ASSERT_TRUE(h.k().Yield().ok());
+  ASSERT_EQ(h.k().current_pid(), 2);
+  ASSERT_TRUE(h.k().PeekUser(h.user(offset), back, sizeof(back)).ok());
+  EXPECT_STREQ(back, shared);
+}
+
+TEST(KernelUserAccessTest, PeekAndPokePastTheBrkFrontierFail) {
+  KernelHarness h(KernelMode::kSvaSafe);
+  const uint64_t frontier =
+      h.k().config().user_pages_per_task * hw::kPageSize;
+  const char bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  Status poke = h.k().PokeUser(h.user(frontier - 4), bytes, sizeof(bytes));
+  EXPECT_EQ(poke.code(), StatusCode::kSafetyViolation);
+  char back[8];
+  Status peek = h.k().PeekUser(h.user(frontier), back, sizeof(back));
+  EXPECT_EQ(peek.code(), StatusCode::kSafetyViolation);
+}
+
+// Creates `path` holding `size` bytes; the path is staged at user(0).
+void CreateFile(KernelHarness& h, const std::string& path, uint64_t size) {
+  ASSERT_TRUE(h.k().PokeUserString(h.user(0), path).ok());
+  uint64_t fd = h.Call(Sys::kOpen, h.user(0), 1);
+  ASSERT_LT(fd, 1024u);
+  ASSERT_EQ(h.Call(Sys::kWrite, fd, h.user(2048), size), size);
+  ASSERT_EQ(h.Call(Sys::kClose, fd), 0u);
+}
+
+TEST(KernelUserAccessTest, StatReadsAPathThatStraddlesAPage) {
+  KernelHarness h(KernelMode::kSvaSafe);
+  CreateFile(h, "/tmp/straddle", 5);
+  const uint64_t at = h.user(hw::kPageSize - 6);  // "/tmp/s" | "traddle\0"
+  ASSERT_TRUE(h.k().PokeUserString(at, "/tmp/straddle").ok());
+  EXPECT_EQ(h.Call(Sys::kStat, at), 5u);
+  EXPECT_TRUE(h.k().pools().violations().empty());
+}
+
+TEST(KernelUserAccessTest, StatPathEndsExactlyAtTheUserObjectsEnd) {
+  KernelHarness h(KernelMode::kSvaSafe);
+  CreateFile(h, "/tmp/edge", 3);
+  const uint64_t region =
+      static_cast<uint64_t>(h.k().config().max_user_pages_per_task) *
+      hw::kPageSize;
+  const uint64_t brk = h.Call(Sys::kBrk, 0);
+  h.Call(Sys::kBrk, h.user(region) - brk);  // Whole object touchable.
+  const std::string path = "/tmp/edge";
+  // The NUL is the object's last byte: accepted, nothing past it is read.
+  const uint64_t at = h.user(region - path.size() - 1);
+  ASSERT_TRUE(h.k().PokeUserString(at, path).ok());
+  EXPECT_EQ(h.Call(Sys::kStat, at), 3u);
+  EXPECT_TRUE(h.k().pools().violations().empty());
+  // Without the NUL the path runs off the object: the Section 4.6 check
+  // rejects it.
+  const uint64_t tail = h.user(region - 4);
+  ASSERT_TRUE(h.k().PokeUser(tail, "/tmp", 4).ok());
+  auto r = h.k().Syscall(Sys::kStat, tail);
+  EXPECT_EQ(r.status().code(), StatusCode::kSafetyViolation);
+  EXPECT_FALSE(h.k().pools().violations().empty());
+}
+
+TEST(KernelUserAccessTest, StatTruncatesAPathWithNoNulAtTheMaximum) {
+  KernelHarness h(KernelMode::kSvaSafe);
+  // open also reads at most kMaxPathLength bytes, so it creates the file
+  // under the truncated name.
+  const std::string name = "/tmp/" + std::string(kMaxPathLength - 5, 'x');
+  ASSERT_EQ(name.size(), kMaxPathLength);
+  CreateFile(h, name + "tail", 7);
+  const uint64_t at = h.user(hw::kPageSize - 20);  // Straddles, too.
+  ASSERT_TRUE(h.k().PokeUserString(at, name + "tail").ok());
+  EXPECT_EQ(h.Call(Sys::kStat, at), 7u);
+  EXPECT_TRUE(h.k().pools().violations().empty());
 }
 
 }  // namespace

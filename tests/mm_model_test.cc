@@ -16,10 +16,19 @@
 // remap attempts from four virtual CPUs against one shared VmManager; it is
 // labelled `concurrency` so the tsan preset replays it under the race
 // detector, and the check-mmu-integrity ctest gate runs it by name.
+//
+// The litmus battery (TlbLitmusTest) races the lock-free per-CPU TLB lookup
+// against its writers at 1, 2 and 4 virtual CPUs, in the shapes of
+// "Relaxed virtual memory in Armv8-A" (arXiv 2203.00642): no translation
+// after unmap + shootdown uses the old frame, a remap never shows a torn
+// frame/flags pair, and a COW break is visible on every CPU before the
+// writer continues.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstdio>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -362,6 +371,236 @@ TEST_F(MmuIntegrityTest, ConcurrentFaultForkRemapDestroyKeepsInvariants) {
   EXPECT_EQ(vs.forks_cow, kCpus * kIters);
   EXPECT_GE(vs.cow_copies, 1u);
 }
+
+// --- Litmus battery ------------------------------------------------------------
+
+// A machine with GetParam() virtual CPUs. RunOnCpus starts a writer bound to
+// CPU 0 beside one reader bound to each CPU, so even the 1-CPU run races a
+// TLB's lock-free reader against a writer of the same TLB.
+class TlbLitmusTest : public ::testing::TestWithParam<unsigned> {
+ protected:
+  static constexpr uint64_t kVa = 0x400000;
+
+  void SetUp() override {
+    os_.ConfigureCpus(GetParam());
+    ASSERT_TRUE(vm_.Init().ok());
+  }
+
+  // The writer starts once every reader is running.
+  void RunOnCpus(const std::function<void()>& writer,
+                 const std::function<void(unsigned)>& reader) {
+    std::atomic<unsigned> running{0};
+    std::vector<std::thread> threads;
+    threads.emplace_back([&] {
+      smp::ScopedCpu bind(0);
+      while (running.load() < GetParam()) {
+        std::this_thread::yield();
+      }
+      writer();
+    });
+    for (unsigned c = 0; c < GetParam(); ++c) {
+      threads.emplace_back([&, c] {
+        smp::ScopedCpu bind(c);
+        running.fetch_add(1);
+        reader(c);
+      });
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+  }
+
+  // Counts a failed condition from any thread (gtest asserts are not
+  // thread-safe to abort from).
+  void Check(bool ok, const char* what) {
+    if (!ok) {
+      failures_.fetch_add(1);
+      std::fprintf(stderr, "litmus failed (%u cpus): %s\n", GetParam(), what);
+    }
+  }
+
+  hw::Machine machine_{64ull << 20};
+  svaos::SvaOS os_{machine_};
+  FrameAllocator frames_{machine_, os_};
+  VmManager vm_{os_, frames_};
+  std::atomic<unsigned> failures_{0};
+};
+
+// Unmap + shootdown, then a later lookup (the Armv8 "TLBI; DSB" shape):
+// once a round's Reset returns, no translation that starts afterwards on
+// any CPU may yield that round's frame. Each round's frame is pinned with an
+// extra reference, so frames are never recycled and a stale one is
+// recognisable.
+TEST_P(TlbLitmusTest, NoTranslationAfterUnmapAndShootdownUsesTheOldFrame) {
+  constexpr unsigned kRounds = 200;
+  auto as = vm_.CreateAddressSpace(kVa, 1, 1);
+  ASSERT_TRUE(as.ok());
+  std::vector<std::atomic<uint64_t>> frames(kRounds);
+  std::atomic<unsigned> retired{0};  // Rounds whose Reset has returned.
+  std::atomic<uint64_t> reads{0};
+  std::atomic<bool> done{false};
+  RunOnCpus(
+      [&] {
+        for (unsigned i = 0; i < kRounds; ++i) {
+          auto pa = vm_.Resolve(**as, kVa, /*write=*/true);
+          Check(pa.ok(), "writer fault");
+          if (!pa.ok()) {
+            break;
+          }
+          const uint64_t frame = *pa & ~(kPage - 1);
+          frames_.AddRef(frame);
+          frames[i].store(frame, std::memory_order_release);
+          // Let the readers translate through this mapping for a while.
+          const uint64_t target = reads.load() + 4 * GetParam();
+          for (int spin = 0; spin < 1000 && reads.load() < target; ++spin) {
+            std::this_thread::yield();
+          }
+          Check(vm_.Reset(**as, 1).ok(), "unmap");
+          retired.store(i + 1, std::memory_order_release);
+        }
+        done.store(true, std::memory_order_release);
+      },
+      [&](unsigned) {
+        while (!done.load(std::memory_order_acquire)) {
+          const unsigned r = retired.load(std::memory_order_acquire);
+          auto pa = vm_.Resolve(**as, kVa, /*write=*/false);
+          reads.fetch_add(1);
+          Check(pa.ok(), "reader translation");
+          const uint64_t frame = pa.ok() ? *pa & ~(kPage - 1) : 0;
+          for (unsigned j = 0; j < r; ++j) {
+            Check(frames[j].load(std::memory_order_relaxed) != frame,
+                  "translated through an unmapped, shot-down frame");
+          }
+        }
+      });
+  EXPECT_EQ(failures_.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  ASSERT_TRUE(vm_.Destroy(**as).ok());
+  for (std::atomic<uint64_t>& frame : frames) {
+    if (frame.load() != 0) {
+      frames_.Release(frame.load());
+    }
+  }
+  EXPECT_EQ(frames_.live_frames(), 0u);
+}
+
+// Break-before-make remap: the writer alternates a page between two
+// mappings that differ in every field, shooting the old one down on every
+// CPU before each CPU's TLB is refilled with the new one. A lock-free
+// lookup returns the old pair, the new pair or a miss — never a frame with
+// the other mapping's flags.
+TEST_P(TlbLitmusTest, RemapNeverShowsATornFrameFlagsPair) {
+  constexpr unsigned kRounds = 20000;
+  constexpr uint32_t kAsid = 7;
+  const hw::PageTableEntry kOld{0x0F0F0, hw::kPtePresent | hw::kPteUser};
+  const hw::PageTableEntry kNew{
+      0xF0F0F, hw::kPtePresent | hw::kPteUser | hw::kPteWritable};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> hits{0};
+  RunOnCpus(
+      [&] {
+        // Past kRounds, keep going until the readers have seen some hits.
+        for (unsigned i = 0; i < kRounds || (hits.load() < 100 &&
+                                             i < 100 * kRounds);
+             ++i) {
+          Check(os_.TlbShootdown(kAsid, kVa, /*entire_asid=*/false).ok(),
+                "shootdown");
+          for (unsigned c = 0; c < GetParam(); ++c) {
+            os_.cpu(c).tlb().Insert(kAsid, kVa, i % 2 == 0 ? kNew : kOld);
+          }
+        }
+        done.store(true, std::memory_order_release);
+      },
+      [&](unsigned c) {
+        hw::Tlb& tlb = os_.cpu(c).tlb();
+        while (!done.load(std::memory_order_acquire)) {
+          hw::PageTableEntry pte;
+          if (!tlb.Lookup(kAsid, kVa, &pte)) {
+            continue;
+          }
+          hits.fetch_add(1, std::memory_order_relaxed);
+          const bool old_pair = pte.physical_page == kOld.physical_page &&
+                                pte.flags == kOld.flags;
+          const bool new_pair = pte.physical_page == kNew.physical_page &&
+                                pte.flags == kNew.flags;
+          Check(old_pair || new_pair, "torn frame/flags pair");
+        }
+      });
+  EXPECT_EQ(failures_.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+}
+
+// COW break, then the writer continues: every CPU holds the shared
+// read-only entry when the writer breaks the share, and once the writer has
+// stored through its private copy and said so, every CPU's next
+// translation reaches that copy and sees the store.
+TEST_P(TlbLitmusTest, CowBreakIsVisibleOnEveryCpuBeforeTheWriterContinues) {
+  constexpr unsigned kRounds = 50;
+  std::barrier sync(static_cast<std::ptrdiff_t>(GetParam()) + 1);
+  std::atomic<AddressSpace*> space{nullptr};
+  std::atomic<uint64_t> shared_frame{0};
+  std::atomic<bool> broken{false};
+  RunOnCpus(
+      [&] {
+        for (unsigned i = 0; i < kRounds; ++i) {
+          auto parent = vm_.CreateAddressSpace(kVa, 1, 1);
+          auto child = vm_.CreateAddressSpace(0x800000, 1, 1);
+          if (!parent.ok() || !child.ok()) {
+            std::abort();  // Readers wait at the barrier; cannot go on.
+          }
+          auto pa = vm_.Resolve(**parent, kVa, /*write=*/true);
+          Check(pa.ok(), "parent fault");
+          (void)machine_.memory().Write(*pa, 8, i);
+          Check(vm_.CloneCow(**parent, **child).ok(), "fork");
+          shared_frame.store(*pa & ~(kPage - 1), std::memory_order_relaxed);
+          space.store(parent->get(), std::memory_order_relaxed);
+          broken.store(false, std::memory_order_relaxed);
+          sync.arrive_and_wait();  // Readers load the shared entry.
+          sync.arrive_and_wait();  // Every CPU's TLB holds it.
+          auto copy = vm_.Resolve(**parent, kVa, /*write=*/true);
+          Check(copy.ok(), "COW break");
+          (void)machine_.memory().Write(*copy, 8, ~uint64_t{i});
+          broken.store(true, std::memory_order_release);
+          sync.arrive_and_wait();  // Readers have checked.
+          Check(vm_.Destroy(**child).ok() && vm_.Destroy(**parent).ok(),
+                "destroy");
+        }
+      },
+      [&](unsigned) {
+        for (unsigned i = 0; i < kRounds; ++i) {
+          sync.arrive_and_wait();
+          AddressSpace& as = *space.load(std::memory_order_relaxed);
+          const uint64_t shared = shared_frame.load(std::memory_order_relaxed);
+          auto pa = vm_.Resolve(as, kVa, /*write=*/false);
+          Check(pa.ok() && (*pa & ~(kPage - 1)) == shared,
+                "reader missed the shared frame");
+          Check(pa.ok() && *machine_.memory().Read(*pa, 8) == i,
+                "reader missed the parent's data");
+          sync.arrive_and_wait();
+          while (true) {
+            const bool after = broken.load(std::memory_order_acquire);
+            auto now = vm_.Resolve(as, kVa, /*write=*/false);
+            if (!after) {
+              continue;
+            }
+            Check(now.ok() && (*now & ~(kPage - 1)) != shared,
+                  "translated through the broken COW share");
+            Check(now.ok() && *machine_.memory().Read(*now, 8) == ~uint64_t{i},
+                  "missed the writer's store after the COW break");
+            break;
+          }
+          sync.arrive_and_wait();
+        }
+      });
+  EXPECT_EQ(failures_.load(), 0u);
+  EXPECT_EQ(frames_.live_frames(), 0u);
+  EXPECT_GE(vm_.stats().cow_copies, kRounds);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cpus, TlbLitmusTest, ::testing::Values(1u, 2u, 4u),
+                         [](const ::testing::TestParamInfo<unsigned>& info) {
+                           return std::to_string(info.param) + "cpu";
+                         });
 
 }  // namespace
 }  // namespace sva::mm

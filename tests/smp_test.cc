@@ -172,18 +172,18 @@ class LockOrderTest : public ::testing::Test {
 
 TEST_F(LockOrderTest, InOrderAcquisitionsPass) {
   LockOrderChecker::set_enabled(true);
-  OrderedSpinLock bkl(LockRank::kBkl);
   OrderedSpinLock vfs(LockRank::kVfs);
+  OrderedSpinLock tasks(LockRank::kTasks);
   OrderedSpinLock files(LockRank::kFiles);
   uint64_t before = LockOrderChecker::acquisitions_checked();
-  bkl.lock();
   vfs.lock();
+  tasks.lock();
   files.lock();
   EXPECT_EQ(LockOrderChecker::held_depth(), 3);
   EXPECT_EQ(LockOrderChecker::acquisitions_checked(), before + 3);
   files.unlock();
+  tasks.unlock();
   vfs.unlock();
-  bkl.unlock();
   EXPECT_EQ(LockOrderChecker::held_depth(), 0);
 }
 
