@@ -16,7 +16,7 @@
 //   4. A read-mostly syscall mix (stat / getpid / lseek-SEEK_CUR): every
 //      call resolves fds and paths through the epoch-protected structures
 //      of docs/CONCURRENCY.md §5 and takes no kernel lock at any rank, so
-//      this phase is the scaling headline (tools/check-smp-scaling gates
+//      this phase is the scaling headline (tools/check-bench-regress gates
 //      it at >= 2.5x for 4 workers on hosts with >= 4 hardware threads).
 //   5. Detection parity: the Section 7.2 exploit suite run single-threaded
 //      and as 8 concurrent worker replicas must catch exactly the same
@@ -24,13 +24,13 @@
 //
 // Flags: --cpus N caps the worker counts swept (default 8); --quick shrinks
 // iteration counts to CI size; --json PATH emits machine-readable records
-// (tools/check-smp-scaling gates on the kernel-phase speedup).
+// (tools/check-bench-regress gates the kernel and read-mostly speedups).
 //
 // Note on measured speedup: the wall-clock numbers depend on how many
-// hardware threads the host actually has. On a single-core host every
-// configuration timeshares one CPU and measured speedup stays ~1x, so the
-// bench also reports the Amdahl projection derived from the measured
-// lock-free fraction p: projected speedup at N threads = 1 / ((1-p) + p/N).
+// hardware threads the host actually has. On a host with fewer hardware
+// threads than workers the configurations timeshare the CPUs and measured
+// speedup is capped by the hardware; only a host with enough threads can
+// show scaling.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -159,17 +159,14 @@ void PrintScalingTable(const char* title, bool mutate) {
     samples.push_back(RunScaling(threads, mutate));
   }
   double base_rate = samples[0].checks / samples[0].seconds;
-  Table table({"Threads", "Checks/sec", "ns/check", "Speedup", "Lock-free",
-               "Amdahl proj."});
+  Table table({"Threads", "Checks/sec", "ns/check", "Speedup", "Lock-free"});
   for (const ScalingSample& s : samples) {
     double rate = s.checks / s.seconds;
     double per_thread_ns =
         s.seconds * 1e9 * s.threads / static_cast<double>(s.checks);
-    double p = s.lock_free_fraction;
-    double projected = 1.0 / ((1.0 - p) + p / s.threads);
     table.AddRow({std::to_string(s.threads), Fmt("%.2fM", rate / 1e6),
                   Fmt("%.1f", per_thread_ns), Fmt("%.2fx", rate / base_rate),
-                  Fmt("%.1f%%", 100.0 * p), Fmt("%.2fx", projected)});
+                  Fmt("%.1f%%", 100.0 * s.lock_free_fraction)});
     JsonReport::Get().Add(std::string(title) + " checks/sec", rate,
                           "checks/s", "", s.threads);
   }
@@ -412,8 +409,7 @@ void Run() {
       "The lock-free column is the measured fraction of lookups served by "
       "the\nper-thread cache with no stripe lock taken; on hosts with fewer "
       "hardware\nthreads than workers, measured speedup is capped by the "
-      "hardware and the\nAmdahl column is the projection at full "
-      "parallelism.\n");
+      "hardware.\n");
 }
 
 }  // namespace

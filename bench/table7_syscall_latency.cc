@@ -181,7 +181,7 @@ double TimeBytecodeTier(svm::ExecTier tier, int reps, int iters) {
 }
 
 // The execution-tier comparison the threaded-code tier is gated on
-// (tools/check-tier-speedup): the same safe-mode workload, interpreter vs
+// (tools/check-bench-regress): the same safe-mode workload, interpreter vs
 // threaded dispatch.
 void RunTierComparison() {
   bool quick = JsonReport::Get().quick();

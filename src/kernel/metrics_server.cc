@@ -191,8 +191,8 @@ std::string MetricsServer::RenderText() const {
   }
 
   // SVM execution-tier dispatch: how much verified bytecode ran on the
-  // threaded tier vs the tree-walking interpreter (including per-function
-  // decoder fallbacks), labelled by tier for one-query speed-ratio panels.
+  // threaded tier vs the tree-walking interpreter, labelled by tier for
+  // one-query speed-ratio panels.
   const trace::TierCounters& tiers = trace::TierCounters::Get();
   Add(counters, "sva_exec_tier_functions_total",
       tiers.threaded_fns.load(std::memory_order_relaxed),
@@ -204,8 +204,6 @@ std::string MetricsServer::RenderText() const {
       "{tier=\"threaded\"}");
   Add(counters, "sva_exec_tier_ops_total",
       tiers.interp_ops.load(std::memory_order_relaxed), "{tier=\"interp\"}");
-  Add(counters, "sva_exec_tier_fallback_functions_total",
-      tiers.fallback_fns.load(std::memory_order_relaxed));
 
   trace::Tracer& tracer = trace::Tracer::Get();
   Add(counters, "sva_trace_events_recorded_total",

@@ -24,6 +24,7 @@
 #define SVA_SRC_SVM_EXEC_SEMANTICS_H_
 
 #include <cstdint>
+#include <string>
 
 #include "src/support/status.h"
 #include "src/vir/instructions.h"
@@ -232,6 +233,15 @@ inline bool ScaledAllocSize(uint64_t elem_size, uint64_t count,
 inline Status AllocSizeOverflow(const char* what) {
   return SafetyViolation(
       std::string("integer overflow in ") + what + " size");
+}
+
+// Intrinsics and host bindings return one integer word, so a float-typed
+// call that resolves to one has no result to give; both tiers fail it with
+// this status before the target runs.
+inline Status FloatCallToIntegerTarget(const std::string& target) {
+  return Unimplemented("float-typed call to @" + target +
+                       ", which returns an integer (intrinsic or host "
+                       "binding)");
 }
 
 // Guest calls recurse through the host stack in both tiers, so the guest

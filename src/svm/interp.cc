@@ -548,12 +548,19 @@ ExecResult Interpreter::RunFunction(const Function& fn,
     result.status = Internal("call depth limit exceeded");
     return result;
   }
-  // Tier dispatch: run pre-decoded threaded code when the engine has it;
-  // functions the decoder rejected fall through to the tree-walker. Nested
-  // calls from either tier come back through here, so the fallback is
-  // uniformly per-function.
-  const ThreadedCode* code =
-      threaded_ != nullptr ? threaded_->CodeFor(fn) : nullptr;
+  // Tier dispatch: under kThreaded every call runs decoded threaded code,
+  // and a function the decoder refuses fails the call. Nested calls from
+  // either tier come back through here.
+  const ThreadedCode* code = nullptr;
+  if (threaded_ != nullptr) {
+    Result<const ThreadedCode*> decoded = threaded_->CodeFor(fn);
+    if (!decoded.ok()) {
+      ExecResult result;
+      result.status = decoded.status();
+      return result;
+    }
+    code = *decoded;
+  }
   // Publish this guest frame to the sampling profiler; nested calls from
   // both tiers funnel through here, so the sampled stack is the real guest
   // call stack, tier-tagged per frame.
@@ -976,6 +983,11 @@ ExecResult Interpreter::RunFunctionInterp(const Function& fn,
             }
             call_args.push_back(*v);
           }
+        }
+        if (inst->type()->IsFloat() &&
+            (vir::LookupIntrinsic(target->name()) != Intrinsic::kNone ||
+             target->is_declaration())) {
+          return fail(sem::FloatCallToIntegerTarget(target->name()));
         }
         bool handled = false;
         auto intrinsic_result = RunIntrinsic(*target, call_args, &handled);

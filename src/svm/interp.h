@@ -43,8 +43,8 @@ enum class ExecTier {
   kInterp,
   // The pre-decoded threaded-code tier: each function is lowered once into a
   // flat stream of handler records with dense operand slots and pre-linked
-  // branch targets. Functions the decoder cannot lower (e.g. dynamic struct
-  // field indices) transparently fall back to the interpreter per function.
+  // branch targets. Every verified function lowers; nothing on this tier
+  // runs on the tree-walker.
   kThreaded,
 };
 
@@ -117,8 +117,7 @@ class Interpreter {
   ExecResult RunFunction(const vir::Function& fn,
                          const std::vector<uint64_t>& args,
                          const std::vector<double>& fargs, uint64_t depth);
-  // The tree-walking engine behind RunFunction (the kInterp tier, and the
-  // per-function fallback of the kThreaded tier).
+  // The tree-walking engine behind RunFunction on the kInterp tier.
   ExecResult RunFunctionInterp(const vir::Function& fn,
                                const std::vector<uint64_t>& args,
                                const std::vector<double>& fargs,

@@ -6,7 +6,7 @@
 
 #include "src/support/strings.h"
 #include "src/svm/exec_semantics.h"
-#include "src/trace/metrics.h"
+#include "src/vir/structural_verifier.h"
 #include "src/vir/type.h"
 
 namespace sva::svm {
@@ -29,8 +29,9 @@ bool IsTerminator(Opcode op) {
 
 // Lowers one verified function to threaded code. Purely local: reads the
 // function body and the Interpreter's public address maps, writes a
-// ThreadedCode. Every unsupported shape is a hard decode error — the caller
-// falls back to the tree-walker for this function, never a weakened lowering.
+// ThreadedCode. vir::VerifyFunction rejects every shape refused here, so a
+// decode error means unverified IR reached the engine; it fails the call and
+// never weakens a lowering.
 class Decoder {
  public:
   Decoder(const Interpreter& interp, const Function& fn)
@@ -190,11 +191,9 @@ class Decoder {
       ++first;
     }
     if (first > 0 && block == fn_.entry()) {
-      // The interpreter reports this at run time (no predecessor); keep
-      // that behaviour by falling back.
       return Unimplemented("phi in entry block");
     }
-    if (first > 0xFFFF) {
+    if (first > vir::kMaxPhisPerBlock) {
       return Unimplemented("too many phis in one block");
     }
     phi_count_[block] = first;
@@ -212,7 +211,6 @@ class Decoder {
       }
     }
     if (!terminated) {
-      // The interpreter reports "fell off the end of block" at run time.
       return Unimplemented("block without terminator");
     }
     return OkStatus();
@@ -491,8 +489,6 @@ class Decoder {
         const auto* st = static_cast<const vir::StructType*>(current);
         const Value* idx = gep->index(i);
         if (idx->value_kind() != vir::ValueKind::kConstantInt) {
-          // The interpreter indexes the field vector with whatever the
-          // dynamic value is; that shape is not lowered — fall back.
           return Unimplemented("dynamic struct field index");
         }
         unsigned field = static_cast<unsigned>(
@@ -513,7 +509,7 @@ class Decoder {
     if (nterms == 0) {
       op.kind = OpK::kGepStatic;
     } else {
-      if (nterms > 0xFFFF) {
+      if (nterms > vir::kMaxDynamicGepIndices) {
         return Unimplemented("too many GEP indices");
       }
       op.kind = OpK::kGepDyn;
@@ -547,11 +543,6 @@ class Decoder {
     }
     site->returns_void = call->type()->IsVoid();
     site->returns_float = call->type()->IsFloat();
-    if (site->returns_float && site->kind != CallSite::Kind::kDirect) {
-      // The interpreter stores intrinsic/host results in the integer file
-      // even for float-typed calls; that corner is not lowered.
-      return Unimplemented("float-typed non-direct call");
-    }
     for (size_t i = 0; i < call->num_args(); ++i) {
       CallSite::Arg arg;
       arg.is_float = call->arg(i)->type()->IsFloat();
@@ -586,7 +577,6 @@ class Decoder {
             to->instructions()[k].get());
         const Value* in = phi->ValueForBlock(from);
         if (in == nullptr) {
-          // Interp reports this at run time; fall back to reproduce it.
           return Unimplemented("phi missing incoming block");
         }
         Move mv;
@@ -625,23 +615,18 @@ class Decoder {
 ThreadedEngine::ThreadedEngine(Interpreter& interp) : interp_(interp) {}
 ThreadedEngine::~ThreadedEngine() = default;
 
-const ThreadedCode* ThreadedEngine::CodeFor(const Function& fn) {
+Result<const ThreadedCode*> ThreadedEngine::CodeFor(const Function& fn) {
   auto it = code_.find(&fn);
   if (it != code_.end()) {
     return it->second.get();
   }
-  if (unsupported_.count(&fn) != 0) {
-    return nullptr;
-  }
   Decoder decoder(interp_, fn);
   auto decoded = decoder.Decode();
   if (!decoded.ok()) {
-    unsupported_.insert(&fn);
-    trace::TierCounters::Get().fallback_fns.fetch_add(
-        1, std::memory_order_relaxed);
-    return nullptr;
+    return Internal(StrCat("threaded decode of @", fn.name(), ": ",
+                           decoded.status().message()));
   }
-  ThreadedCode* ptr = decoded->get();
+  const ThreadedCode* ptr = decoded->get();
   code_[&fn] = std::move(*decoded);
   return ptr;
 }
@@ -1048,6 +1033,9 @@ ExecResult ThreadedEngine::Execute(const ThreadedCode& code,
         kind = CallSite::Kind::kHost;
       }
     }
+    if (site.returns_float && kind != CallSite::Kind::kDirect) {
+      return fail(sem::FloatCallToIntegerTarget(target->name()));
+    }
     if (kind == CallSite::Kind::kIntrinsic) {
       auto r = interp_.RunIntrinsicById(intrinsic, call_args);
       if (!r.ok()) {
@@ -1057,9 +1045,9 @@ ExecResult ThreadedEngine::Execute(const ThreadedCode& code,
         regs[op->dst] = *r;
       }
     } else if (kind == CallSite::Kind::kDirect) {
-      // Nested calls go back through RunFunction so callees get their own
-      // tier decision (and the per-function fallback stays uniform). The
-      // shared step budget crosses the boundary via steps_.
+      // Nested calls go back through RunFunction, which decodes the callee
+      // on first use. The shared step budget crosses the boundary via
+      // steps_.
       interp_.steps_ = steps;
       ExecResult sub =
           interp_.RunFunction(*target, call_args, call_fargs, depth + 1);

@@ -7,17 +7,18 @@
 // targets become indices into the op stream, phis become per-edge parallel
 // move lists, and call sites are pre-classified (intrinsic id / direct
 // target / host binding / indirect). The stream is executed by
-// computed-goto threaded dispatch (portable switch fallback) with the
+// computed-goto threaded dispatch (a portable switch loop elsewhere) with the
 // bounds/load-store/indirect-call checks invoked through exactly the same
 // MetaPoolRuntime entry points as the tree-walking interpreter.
 //
 // TCB story: the decoder consumes only bytecode that already passed the
 // structural verifier — the same keying as the interpreter — and performs a
-// purely local, per-function lowering. Anything it cannot prove it can
-// lower faithfully (dynamic struct field indices, phis in the entry block,
-// blocks without terminators) it refuses, and the Interpreter transparently
-// tree-walks that one function instead; no check is ever weakened to make a
-// function decodable. Arithmetic and trap semantics come from
+// purely local, per-function lowering. The verifier rejects every shape the
+// decoder cannot lower faithfully (dynamic struct field indices, phis in the
+// entry block, blocks without terminators, float operands in integer
+// contexts), so every verified function runs here; a decode error fails the
+// call and never moves it to another engine, and no check is ever weakened
+// to make a function decodable. Arithmetic and trap semantics come from
 // exec_semantics.h, shared with the interpreter, so the tiers cannot
 // diverge; tests/tier_parity_test.cc asserts identical results, statuses,
 // step counts, and CheckStats across both.
@@ -27,7 +28,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -174,22 +174,18 @@ class ThreadedEngine {
   explicit ThreadedEngine(Interpreter& interp);
   ~ThreadedEngine();
 
-  // Decoded code for `fn`, decoding on first use. Returns null if the
-  // function cannot be lowered (the caller then tree-walks it).
-  const ThreadedCode* CodeFor(const vir::Function& fn);
+  // Decoded code for `fn`, decoding on first use, or the reason it cannot
+  // be lowered (unreachable for verified functions).
+  Result<const ThreadedCode*> CodeFor(const vir::Function& fn);
 
   // Executes decoded code. `depth` has already been bounds-checked by
   // RunFunction.
   ExecResult Execute(const ThreadedCode& code, std::span<const uint64_t> args,
                      std::span<const double> fargs, uint64_t depth);
 
-  // Functions that failed to decode so far (fallback diagnostics).
-  uint64_t fallback_functions() const { return unsupported_.size(); }
-
  private:
   Interpreter& interp_;
   std::map<const vir::Function*, std::unique_ptr<ThreadedCode>> code_;
-  std::set<const vir::Function*> unsupported_;
 };
 
 }  // namespace sva::svm

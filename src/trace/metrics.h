@@ -115,11 +115,12 @@ class Metrics {
 };
 
 // Per-tier SVM dispatch accounting: how many function activations and how
-// many executed operations each execution tier handled, plus how many
-// functions the threaded decoder refused (per-function interpreter
-// fallback). The Interpreter accumulates these in plain members on the hot
-// path and flushes them here once per Run(); /metrics renders them as
-// sva_exec_tier_* counters.
+// many executed operations each execution tier handled. The Interpreter
+// accumulates these in plain members on the hot path and flushes them here
+// once per Run(); /metrics renders them as sva_exec_tier_* counters.
+// fallback_fns stays 0: every verified function runs on the tier it was
+// asked for. It is kept because the repo benchmark reports it as
+// svm.fallback_fns.
 struct TierCounters {
   std::atomic<uint64_t> interp_fns{0};
   std::atomic<uint64_t> interp_ops{0};

@@ -862,6 +862,9 @@ class Parser {
       MaybeFixup(inst, 1, ptr);
     } else if (o == "getelementptr") {
       SVA_ASSIGN_OR_RETURN(TypedRef base, ParseTypedRef());
+      if (!base.type->IsPointer()) {
+        return Error("getelementptr base is not a pointer");
+      }
       std::vector<TypedRef> indices;
       while (ConsumeIf(TokKind::kComma)) {
         SVA_RETURN_IF_ERROR(parse_typed_operand(indices));
@@ -871,6 +874,11 @@ class Parser {
       for (const TypedRef& r : indices) {
         index_values.push_back(Resolve(r));
       }
+      Result<const Type*> indexed = GepIndexedType(
+          static_cast<const PointerType*>(base.type)->pointee(), index_values);
+      if (!indexed.ok()) {
+        return Error(indexed.status().message());
+      }
       result = b.CreateGEP(ResolveTyped(base), index_values, result_name);
       auto* inst = static_cast<Instruction*>(result);
       MaybeFixup(inst, 0, base);
@@ -879,6 +887,9 @@ class Parser {
       }
     } else if (o == "atomiclis") {
       SVA_ASSIGN_OR_RETURN(TypedRef ptr, ParseTypedRef());
+      if (!ptr.type->IsPointer()) {
+        return Error("atomiclis operand is not a pointer");
+      }
       SVA_RETURN_IF_ERROR(Expect(TokKind::kComma));
       const Type* elem =
           static_cast<const PointerType*>(ptr.type)->pointee();
@@ -895,6 +906,9 @@ class Parser {
       }
     } else if (o == "cmpxchg") {
       SVA_ASSIGN_OR_RETURN(TypedRef ptr, ParseTypedRef());
+      if (!ptr.type->IsPointer()) {
+        return Error("cmpxchg operand is not a pointer");
+      }
       const Type* elem =
           static_cast<const PointerType*>(ptr.type)->pointee();
       SVA_RETURN_IF_ERROR(Expect(TokKind::kComma));

@@ -39,6 +39,27 @@ std::vector<const BasicBlock*> ReversePostOrder(const Function& fn) {
   return order;
 }
 
+// True if a cast's source and result types are of the classes its opcode
+// converts between. Floats only enter or leave through sitofp/fptosi.
+bool CastClassesAgree(Opcode op, const Type* from, const Type* to) {
+  switch (op) {
+    case Opcode::kTrunc:
+    case Opcode::kZExt:
+    case Opcode::kSExt:
+      return from->IsInt() && to->IsInt();
+    case Opcode::kPtrToInt:
+      return from->IsPointer() && to->IsInt();
+    case Opcode::kIntToPtr:
+      return from->IsInt() && to->IsPointer();
+    case Opcode::kSIToFP:
+      return from->IsInt() && to->IsFloat();
+    case Opcode::kFPToSI:
+      return from->IsFloat() && to->IsInt();
+    default:  // kBitcast
+      return !from->IsFloat() && !to->IsFloat();
+  }
+}
+
 }  // namespace
 
 std::map<const BasicBlock*, std::vector<const BasicBlock*>> PredecessorMap(
@@ -159,19 +180,120 @@ Status VerifyFunction(const Module& module, const Function& fn) {
                                          ": phi not at block start"));
       }
     }
+    // The threaded tier counts a block's phis (its per-edge moves) in 16
+    // bits.
+    if (kMaxPhisPerBlock < bb->instructions().size() &&
+        bb->instructions()[kMaxPhisPerBlock]->opcode() == Opcode::kPhi) {
+      return VerificationFailed(StrCat("@", fn.name(), " block ", bb->name(),
+                                       ": more than ", kMaxPhisPerBlock,
+                                       " phis"));
+    }
+  }
+
+  // The entry block is where a call starts: nothing branches back to it and
+  // it has no incoming edge for a phi to choose by.
+  const BasicBlock* entry = fn.entry();
+  if (entry->instructions().front()->opcode() == Opcode::kPhi) {
+    return VerificationFailed(StrCat("@", fn.name(), ": phi in entry block"));
+  }
+  if (preds.count(entry) != 0) {
+    return VerificationFailed(
+        StrCat("@", fn.name(), ": entry block has predecessors"));
   }
 
   // Type agreement checks.
+  auto is_int_or_ptr = [](const Value* v) {
+    return v->type()->IsInt() || v->type()->IsPointer();
+  };
   for (const auto& bb : fn.blocks()) {
     for (const auto& inst : bb->instructions()) {
+      auto fail = [&](const std::string& why) {
+        return VerificationFailed(StrCat("@", fn.name(), ": ",
+                                         OpcodeName(inst->opcode()), " ",
+                                         why));
+      };
       if (inst->IsBinaryOp()) {
         if (inst->operand(0)->type() != inst->operand(1)->type() ||
             inst->operand(0)->type() != inst->type()) {
           return VerificationFailed(StrCat("@", fn.name(),
                                            ": binary operand type mismatch"));
         }
+        // fadd..fdiv close the binary-op range.
+        bool float_op = inst->opcode() >= Opcode::kFAdd;
+        if (float_op != inst->type()->IsFloat() ||
+            (!float_op && !is_int_or_ptr(inst.get()))) {
+          return fail(StrCat("on ", inst->type()->ToString()));
+        }
       }
       switch (inst->opcode()) {
+        case Opcode::kTrunc:
+        case Opcode::kZExt:
+        case Opcode::kSExt:
+        case Opcode::kBitcast:
+        case Opcode::kPtrToInt:
+        case Opcode::kIntToPtr:
+        case Opcode::kSIToFP:
+        case Opcode::kFPToSI: {
+          const Type* from =
+              static_cast<const CastInst*>(inst.get())->src()->type();
+          if (!CastClassesAgree(inst->opcode(), from, inst->type())) {
+            return fail(StrCat("from ", from->ToString(), " to ",
+                               inst->type()->ToString()));
+          }
+          break;
+        }
+        case Opcode::kICmp:
+        case Opcode::kFCmp: {
+          const auto* cmp = static_cast<const CmpInst*>(inst.get());
+          bool ok = inst->opcode() == Opcode::kICmp
+                        ? is_int_or_ptr(cmp->lhs()) && is_int_or_ptr(cmp->rhs())
+                        : cmp->lhs()->type()->IsFloat() &&
+                              cmp->rhs()->type()->IsFloat();
+          if (!ok) {
+            return fail(StrCat("on ", cmp->lhs()->type()->ToString(), " and ",
+                               cmp->rhs()->type()->ToString()));
+          }
+          break;
+        }
+        case Opcode::kSelect: {
+          const auto* sel = static_cast<const SelectInst*>(inst.get());
+          if (!sel->condition()->type()->IsInt()) {
+            return fail("condition is not an integer");
+          }
+          if (sel->true_value()->type() != inst->type() ||
+              sel->false_value()->type() != inst->type()) {
+            return fail("arm type mismatch");
+          }
+          break;
+        }
+        case Opcode::kSwitch: {
+          const auto* sw = static_cast<const SwitchInst*>(inst.get());
+          if (!sw->condition()->type()->IsInt()) {
+            return fail("condition is not an integer");
+          }
+          break;
+        }
+        case Opcode::kFree: {
+          const auto* f = static_cast<const FreeInst*>(inst.get());
+          if (!f->pointer()->type()->IsPointer()) {
+            return fail("of a non-pointer");
+          }
+          break;
+        }
+        case Opcode::kAtomicLIS:
+        case Opcode::kCmpXchg: {
+          // Both operate on the pointee in place: an integer or pointer
+          // word, with every value operand of that type.
+          if (!is_int_or_ptr(inst.get())) {
+            return fail(StrCat("on ", inst->type()->ToString()));
+          }
+          for (size_t i = 1; i < inst->num_operands(); ++i) {
+            if (inst->operand(i)->type() != inst->type()) {
+              return fail("operand type mismatch");
+            }
+          }
+          break;
+        }
         case Opcode::kLoad: {
           const auto* load = static_cast<const LoadInst*>(inst.get());
           const Type* pt = load->pointer()->type();
@@ -202,6 +324,19 @@ Status VerifyFunction(const Module& module, const Function& fn) {
           std::vector<Value*> indices;
           for (size_t i = 0; i < gep->num_indices(); ++i) {
             indices.push_back(gep->index(i));
+          }
+          size_t dynamic = 0;
+          for (const Value* idx : indices) {
+            if (!idx->type()->IsInt()) {
+              return VerificationFailed(
+                  StrCat("@", fn.name(), ": gep index is not an integer"));
+            }
+            dynamic += idx->value_kind() != ValueKind::kConstantInt;
+          }
+          if (dynamic > kMaxDynamicGepIndices) {
+            return VerificationFailed(
+                StrCat("@", fn.name(), ": gep has more than ",
+                       kMaxDynamicGepIndices, " dynamic indices"));
           }
           Result<const Type*> indexed = GepIndexedType(
               static_cast<const PointerType*>(gep->base()->type())->pointee(),
@@ -258,6 +393,9 @@ Status VerifyFunction(const Module& module, const Function& fn) {
           if (!IsSized(allocated)) {
             return VerificationFailed(StrCat(
                 "@", fn.name(), ": allocation of unsized (opaque) type"));
+          }
+          if (!inst->operand(0)->type()->IsInt()) {
+            return fail("count is not an integer");
           }
           break;
         }

@@ -1,10 +1,14 @@
 // Structural well-formedness checks on SVA-Core modules: explicit CFG with
-// terminated blocks, SSA dominance of definitions over uses, operand type
-// agreement, and phi/predecessor coherence. This is the instruction-set-level
+// terminated blocks and an entry block nothing branches to, SSA dominance of
+// definitions over uses, operand type agreement (including the int / float /
+// pointer class of every cast, compare, select and atomic), and
+// phi/predecessor coherence. Every function that passes lowers onto the
+// threaded execution tier. This is the instruction-set-level
 // verification the SVM performs before the metapool type check of Section 5.
 #ifndef SVA_SRC_VIR_STRUCTURAL_VERIFIER_H_
 #define SVA_SRC_VIR_STRUCTURAL_VERIFIER_H_
 
+#include <cstddef>
 #include <map>
 #include <vector>
 
@@ -29,6 +33,11 @@ class DominatorTree {
   std::map<const BasicBlock*, const BasicBlock*> idom_;
   std::map<const BasicBlock*, int> rpo_index_;
 };
+
+// Per-block limits a verified function stays within: the threaded tier
+// stores a block's phi count and a GEP's dynamic index count in 16 bits.
+inline constexpr size_t kMaxPhisPerBlock = 0xFFFF;
+inline constexpr size_t kMaxDynamicGepIndices = 0xFFFF;
 
 // Verifies one function; returns the first problem found.
 Status VerifyFunction(const Module& module, const Function& fn);

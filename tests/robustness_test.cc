@@ -227,7 +227,18 @@ INSTANTIATE_TEST_SUITE_P(
         "module \"x\"\ndefine void @f() {\nentry:\n  switch i32 1, label "
         "%a, [ x ]\na:\n  ret void\n}",
         "module \"x\"\ntargetset 5 = @f",        // Out-of-order set index.
-        "module \"x\"\ndefine i32 @f(i32) {\nentry:\n  ret i32 0\n}"));
+        "module \"x\"\ndefine i32 @f(i32) {\nentry:\n  ret i32 0\n}",
+        // Atomics and getelementptr on a non-pointer operand, and a
+        // getelementptr whose indices do not fit its type.
+        "module \"x\"\ndefine i64 @f(i64 %x) {\nentry:\n  %p = "
+        "getelementptr i64 %x, i64 0\n  ret i64 0\n}",
+        "module \"x\"\n%s = type { i64 }\ndefine i64 @f(%s* %p, i64 %i) "
+        "{\nentry:\n  %q = getelementptr %s* %p, i64 0, i64 %i\n  "
+        "ret i64 0\n}",
+        "module \"x\"\ndefine i64 @f(i64 %x) {\nentry:\n  %r = atomiclis "
+        "i64 %x, 1\n  ret i64 %r\n}",
+        "module \"x\"\ndefine i64 @f(i64 %x) {\nentry:\n  %r = cmpxchg "
+        "i64 %x, 1, 2\n  ret i64 %r\n}"));
 
 }  // namespace
 }  // namespace sva::vir

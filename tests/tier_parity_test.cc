@@ -5,7 +5,9 @@
 // the full CheckStats stream the run-time checks produced. Programs are
 // generated from a seeded LCG (arithmetic chains and phi loops over every
 // integer width) plus handwritten edge cases (MIN/-1 division, shifts by
-// >= width, sign-extension round trips) and the six exploit scenarios.
+// >= width, sign-extension round trips), the kernel corpus and the exploit
+// scenarios. Every verified function runs on the threaded tier: under
+// kThreaded none of them may reach the tree-walker.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,11 +16,13 @@
 #include <thread>
 #include <vector>
 
+#include "src/corpus/corpus.h"
 #include "src/exploits/exploits.h"
 #include "src/runtime/metapool_runtime.h"
 #include "src/safety/compiler.h"
 #include "src/support/strings.h"
 #include "src/svm/svm.h"
+#include "src/trace/metrics.h"
 #include "src/verifier/typechecker.h"
 #include "src/vir/parser.h"
 #include "src/vir/structural_verifier.h"
@@ -69,12 +73,18 @@ Observed RunOnTier(const std::string& text, const std::string& entry,
   return obs;
 }
 
-// Asserts bit-identical observations across the two tiers for one program.
+// Function activations the tree-walker has run in this process so far.
+uint64_t InterpFns() { return trace::TierCounters::Get().interp_fns.load(); }
+
+// Asserts bit-identical observations across the two tiers for one program,
+// and that the threaded run never reached the tree-walker.
 void ExpectParity(const std::string& text, const std::string& entry,
                   const std::vector<uint64_t>& args,
                   const std::string& what) {
   Observed interp = RunOnTier(text, entry, args, ExecTier::kInterp);
+  const uint64_t interp_fns = InterpFns();
   Observed threaded = RunOnTier(text, entry, args, ExecTier::kThreaded);
+  EXPECT_EQ(InterpFns(), interp_fns) << what;
   EXPECT_EQ(interp.status, threaded.status) << what;
   EXPECT_EQ(interp.value, threaded.value) << what;
   EXPECT_EQ(interp.steps, threaded.steps) << what;
@@ -464,7 +474,9 @@ TEST(TierParity, AllExploitScenariosAgree) {
     SvmOptions threaded_options;
     threaded_options.interp.tier = ExecTier::kThreaded;
     auto a = exploits::RunScenario(s, interp_options);
+    const uint64_t interp_fns = InterpFns();
     auto b = exploits::RunScenario(s, threaded_options);
+    EXPECT_EQ(InterpFns(), interp_fns) << s.id;
     ASSERT_TRUE(a.ok()) << s.id << ": " << a.status().ToString();
     ASSERT_TRUE(b.ok()) << s.id << ": " << b.status().ToString();
     EXPECT_EQ(a->benign_status.ToString(), b->benign_status.ToString())
@@ -473,6 +485,134 @@ TEST(TierParity, AllExploitScenariosAgree) {
         << s.id;
     EXPECT_EQ(a->caught, b->caught) << s.id;
     EXPECT_EQ(a->violation, b->violation) << s.id;
+  }
+}
+
+TEST(TierParity, FloatResultThroughFunctionPointer) {
+  // An indirect call whose callee returns a float: the threaded tier
+  // resolves the target at run time and writes the float register file.
+  const char* text = R"(
+module "fptr_float"
+global @handler : f64 (i64)*
+
+define f64 @half(i64 %x) {
+entry:
+  %f = sitofp i64 %x to f64
+  %h = fdiv f64 %f, 2.0
+  ret f64 %h
+}
+
+define i64 @f(i64 %x) {
+entry:
+  store f64 (i64)* @half, f64 (i64)** @handler
+  %fp = load f64 (i64)*, f64 (i64)** @handler
+  %r = call f64 %fp(i64 %x)
+  %q = fmul f64 %r, 4.0
+  %i = fptosi f64 %q to i64
+  ret i64 %i
+}
+)";
+  Observed r = RunOnTier(text, "f", {7}, ExecTier::kThreaded);
+  EXPECT_EQ(r.status, "OK");
+  EXPECT_EQ(r.value, 14u);
+  ExpectParity(text, "f", {7}, "float result through a function pointer");
+}
+
+TEST(TierParity, FloatTypedHostAndIntrinsicCallsFailAlike) {
+  // Intrinsics and host bindings return one integer word; a float-typed
+  // call to one is the same error on both tiers, direct or indirect.
+  const char* text = R"(
+module "float_host"
+declare f64 @host_float(i64)
+declare f64 @sva.pseudo.alloc(i64, i64)
+global @handler : f64 (i64)*
+
+define i64 @host(i64 %x) {
+entry:
+  %r = call f64 @host_float(i64 %x)
+  %i = fptosi f64 %r to i64
+  ret i64 %i
+}
+
+define i64 @intrinsic(i64 %x) {
+entry:
+  %r = call f64 @sva.pseudo.alloc(i64 %x, i64 %x)
+  %i = fptosi f64 %r to i64
+  ret i64 %i
+}
+
+define i64 @indirect(i64 %x) {
+entry:
+  store f64 (i64)* @host_float, f64 (i64)** @handler
+  %fp = load f64 (i64)*, f64 (i64)** @handler
+  %r = call f64 %fp(i64 %x)
+  %i = fptosi f64 %r to i64
+  ret i64 %i
+}
+)";
+  for (const char* entry : {"host", "intrinsic", "indirect"}) {
+    Observed r = RunOnTier(text, entry, {1}, ExecTier::kThreaded);
+    EXPECT_NE(r.status.find("float-typed call to @"), std::string::npos)
+        << entry << ": " << r.status;
+    ExpectParity(text, entry, {1}, StrCat("float-typed call, ", entry));
+  }
+}
+
+TEST(TierParity, KernelCorpusEntryPointsAgree) {
+  // Every defined corpus function, called with zero arguments in module
+  // order on one VM per tier: same results, statuses and steps, and the
+  // threaded VM never reaches the tree-walker.
+  auto run_corpus = [](ExecTier tier) {
+    std::vector<Observed> out;
+    auto parsed = vir::ParseModule(corpus::KernelCorpusText(true));
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (!parsed.ok()) {
+      return out;
+    }
+    auto module = std::move(*parsed);
+    safety::SafetyCompilerOptions copts;
+    copts.analysis = corpus::CorpusConfig(true);
+    auto report = safety::RunSafetyCompiler(*module, copts);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    Status verified = vir::VerifyModule(*module);
+    EXPECT_TRUE(verified.ok()) << verified.ToString();
+    SvmOptions options;
+    options.interp.tier = tier;
+    options.interp.max_steps = 1'000'000;
+    SecureVirtualMachine vm(options);
+    auto loaded = vm.LoadModule(std::move(module));
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    if (!loaded.ok()) {
+      return out;
+    }
+    std::vector<std::string> names;
+    for (const auto& fn : (*loaded)->module().functions()) {
+      if (!fn->is_declaration()) {
+        names.push_back(fn->name());
+      }
+    }
+    for (const std::string& name : names) {
+      const size_t nargs =
+          (*loaded)->module().GetFunction(name)->num_args();
+      ExecResult r = (*loaded)->Run(name, std::vector<uint64_t>(nargs, 0));
+      Observed obs;
+      obs.status = name + ": " + r.status.ToString();
+      obs.value = r.status.ok() ? r.value : 0;
+      obs.steps = r.steps;
+      out.push_back(obs);
+    }
+    return out;
+  };
+  std::vector<Observed> interp = run_corpus(ExecTier::kInterp);
+  const uint64_t interp_fns = InterpFns();
+  std::vector<Observed> threaded = run_corpus(ExecTier::kThreaded);
+  EXPECT_EQ(InterpFns(), interp_fns);
+  ASSERT_EQ(interp.size(), threaded.size());
+  EXPECT_GT(threaded.size(), 10u);
+  for (size_t i = 0; i < interp.size(); ++i) {
+    EXPECT_EQ(interp[i].status, threaded[i].status);
+    EXPECT_EQ(interp[i].value, threaded[i].value) << interp[i].status;
+    EXPECT_EQ(interp[i].steps, threaded[i].steps) << interp[i].status;
   }
 }
 

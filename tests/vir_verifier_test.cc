@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/support/strings.h"
 #include "src/vir/builder.h"
 #include "src/vir/parser.h"
 #include "src/vir/structural_verifier.h"
@@ -146,6 +147,166 @@ entry:
 )");
   ASSERT_TRUE(m.ok());
   EXPECT_FALSE(VerifyModule(**m).ok());
+}
+
+// --- Shapes the threaded tier cannot lower ----------------------------------
+//
+// Every function VerifyModule accepts runs on the threaded tier, so each
+// shape its decoder refuses is a verification failure instead.
+
+// Parses `text` and expects VerifyModule to reject it with a message that
+// contains `fragment`.
+void ExpectRejected(const std::string& text, const std::string& fragment) {
+  auto m = ParseModule(text);
+  ASSERT_TRUE(m.ok()) << m.status().ToString() << "\n" << text;
+  Status s = VerifyModule(**m);
+  ASSERT_FALSE(s.ok()) << text;
+  EXPECT_NE(s.message().find(fragment), std::string::npos)
+      << s.message() << "\n" << text;
+}
+
+// A module whose @f takes an i64, an f64 and an i8* and runs `body` in its
+// entry block before returning.
+std::string WithBody(const std::string& body) {
+  return "module \"bad\"\ndefine void @f(i64 %i, f64 %x, i8* %p) {\nentry:\n" +
+         body + "\n  ret void\n}\n";
+}
+
+TEST(StructuralVerifierTest, RejectsEntryPhiWithBackEdge) {
+  ExpectRejected(R"(
+module "bad"
+define i64 @main(i64 %n) {
+entry:
+  %i = phi i64 [ 0, %loop ]
+  br label %loop
+loop:
+  %i2 = add i64 %i, 1
+  %done = icmp uge i64 %i2, %n
+  br i1 %done, label %exit, label %entry
+exit:
+  ret i64 %i2
+}
+)",
+                 "phi in entry block");
+}
+
+TEST(StructuralVerifierTest, RejectsBranchBackToEntry) {
+  ExpectRejected(R"(
+module "bad"
+define void @f(i1 %c) {
+entry:
+  br label %loop
+loop:
+  br i1 %c, label %entry, label %exit
+exit:
+  ret void
+}
+)",
+                 "entry block has predecessors");
+}
+
+TEST(StructuralVerifierTest, RejectsPhiInEntryWithoutPredecessors) {
+  Module m("bad");
+  TypeContext& t = m.types();
+  Function* fn = m.CreateFunction("f", t.FunctionTy(t.VoidTy(), {}), false);
+  BasicBlock* entry = fn->CreateBlock("entry");
+  entry->Append(std::make_unique<PhiInst>(t.I64(), "p"));
+  entry->Append(std::make_unique<RetInst>(t.VoidTy(), nullptr));
+  Status s = VerifyModule(m);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("phi in entry block"), std::string::npos)
+      << s.message();
+}
+
+TEST(StructuralVerifierTest, RejectsBitcastOfFloatBits) {
+  ExpectRejected(R"(
+module "bad"
+define i64 @main(i64 %x) {
+entry:
+  %f = sitofp i64 %x to f64
+  %bits = bitcast f64 %f to i64
+  ret i64 %bits
+}
+)",
+                 "bitcast from f64 to i64");
+}
+
+TEST(StructuralVerifierTest, RejectsCastsBetweenTheWrongClasses) {
+  for (const char* cast :
+       {"%r = trunc f64 %x to i32", "%r = zext i8* %p to i64",
+        "%r = sext f64 %x to i64", "%r = ptrtoint i64 %i to i64",
+        "%r = inttoptr i8* %p to i8*", "%r = bitcast i64 %i to f64",
+        "%r = sitofp f64 %x to f64", "%r = fptosi i64 %i to i64"}) {
+    std::string op(cast + 5, std::string(cast + 5).find(' '));
+    ExpectRejected(WithBody(std::string("  ") + cast), op + " from");
+  }
+}
+
+TEST(StructuralVerifierTest, RejectsComparesOnTheWrongClass) {
+  ExpectRejected(WithBody("  %r = icmp eq f64 %x, %x"), "icmp on f64");
+  ExpectRejected(WithBody("  %r = fcmp slt i64 %i, %i"), "fcmp on i64");
+}
+
+TEST(StructuralVerifierTest, RejectsSelectArmOfAnotherType) {
+  ExpectRejected(WithBody("  %c = icmp eq i64 %i, 0\n"
+                          "  %r = select i1 %c, i64 %i, i8* %p"),
+                 "select arm type mismatch");
+  ExpectRejected(WithBody("  %r = select f64 %x, i64 %i, i64 %i"),
+                 "select condition is not an integer");
+}
+
+TEST(StructuralVerifierTest, RejectsOperandsOfTheWrongClass) {
+  ExpectRejected(WithBody("  %r = add f64 %x, %x"), "add on f64");
+  ExpectRejected(WithBody("  %r = fadd i64 %i, %i"), "fadd on i64");
+  ExpectRejected(WithBody("  free f64 %x"), "free of a non-pointer");
+  ExpectRejected(WithBody("  %r = alloca i8, f64 %x"),
+                 "alloca count is not an integer");
+  ExpectRejected(WithBody("  %r = getelementptr i8* %p, f64 %x"),
+                 "gep index is not an integer");
+  ExpectRejected(WithBody("  %q = bitcast i8* %p to f64*\n"
+                          "  %r = atomiclis f64* %q, 1.0"),
+                 "atomiclis on f64");
+  ExpectRejected(
+      "module \"bad\"\ndefine void @f(f64 %x) {\nentry:\n"
+      "  switch f64 %x, label %e, [ 0, label %e ]\ne:\n  ret void\n}\n",
+      "switch condition is not an integer");
+}
+
+TEST(StructuralVerifierTest, RejectsMorePhisThanTheDecoderCounts) {
+  Module m("bad");
+  TypeContext& t = m.types();
+  Function* fn = m.CreateFunction("f", t.FunctionTy(t.VoidTy(), {}), false);
+  BasicBlock* entry = fn->CreateBlock("entry");
+  BasicBlock* body = fn->CreateBlock("body");
+  entry->Append(std::make_unique<BranchInst>(t.VoidTy(), body));
+  for (size_t i = 0; i <= kMaxPhisPerBlock; ++i) {
+    auto phi = std::make_unique<PhiInst>(t.I64(), StrCat("p", i));
+    phi->AddIncoming(m.GetInt64(i), entry);
+    body->Append(std::move(phi));
+  }
+  body->Append(std::make_unique<RetInst>(t.VoidTy(), nullptr));
+  Status s = VerifyModule(m);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("more than 65535 phis"), std::string::npos)
+      << s.message();
+}
+
+TEST(StructuralVerifierTest, RejectsMoreDynamicGepIndicesThanTheDecoderCounts) {
+  Module m("bad");
+  TypeContext& t = m.types();
+  const PointerType* i8p = t.PointerTo(t.I8());
+  Function* fn =
+      m.CreateFunction("f", t.FunctionTy(t.VoidTy(), {i8p, t.I64()}), false);
+  BasicBlock* entry = fn->CreateBlock("entry");
+  std::vector<Value*> indices(kMaxDynamicGepIndices + 1, fn->arg(1));
+  entry->Append(std::make_unique<GetElementPtrInst>(i8p, fn->arg(0),
+                                                    std::move(indices), "g"));
+  entry->Append(std::make_unique<RetInst>(t.VoidTy(), nullptr));
+  Status s = VerifyModule(m);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("more than 65535 dynamic indices"),
+            std::string::npos)
+      << s.message();
 }
 
 TEST(DominatorTreeTest, DiamondDominance) {

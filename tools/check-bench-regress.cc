@@ -1,30 +1,43 @@
-// check-bench-regress: the cross-record gate over bench/records/, the
-// directory of longitudinal benchmark JSONs (one file per tracked bench,
-// regenerated by the PR that changes the relevant subsystem). Structural
-// drift in those files — a bench renamed a metric, a record list went
-// empty, a mode disappeared — otherwise goes unnoticed until someone plots
-// the trajectory, so this tool asserts, for every tracked file:
+// check-bench-regress: the one bench-invariant checker. Every invariant a
+// benchmark report must keep lives in one table below, keyed by the
+// report's "bench" field, and the same rows gate two kinds of input:
 //
-//   - the file exists, parses as a bench report, and has > 0 records;
-//   - the metrics each downstream consumer greps for are present; and
-//   - the subsystem invariants the records are supposed to document still
-//     hold INSIDE the committed numbers: NAPI keeps rx interrupts per
-//     packet < 1, the c10k record held >= 10,000 connections, the threaded
-//     tier beat the interpreter, smp scaling's kernel phase has a
-//     multi-worker record, COW fork beat the eager copy in the vm_ops
-//     record, and safe-mode Table 6 keeps >= 0.70x native at 85 KB.
+//   check-bench-regress bench/records   a directory of committed records
+//                                       (bench/records/*.json): every bench
+//                                       in the table needs exactly one
+//                                       record, and every row must hold;
+//   check-bench-regress report.json     one fresh report, as a bench's
+//                                       --json flag writes it (the ctest
+//                                       gates run --quick benches this way):
+//                                       the rows of its bench must hold.
 //
-// Absolute performance is NOT gated here (records may come from any host);
-// ratios and invariants are. Exit 0 = all files healthy, 1 = regression.
+// A report must carry "bench" (a name in the table), "hw_cpus" (hardware
+// threads on the host that wrote it) and at least one record. Some rows
+// need a minimum of hardware threads to mean anything (a 1->4 worker
+// speedup needs 4). A fresh report from a smaller host skips those rows
+// with a SKIP line that names each one; a committed record from a smaller
+// host fails them, because a record is evidence and must come from a host
+// that can show it.
+//
+// Absolute performance is not gated (records may come from any host);
+// ratios, scale floors and invariants are.
+//
+// Exit codes: 0 = every row holds, 1 = a row failed or a report is
+// malformed, 77 = a fresh report held every row it could check but skipped
+// one for want of hardware threads (ctest maps 77 to SKIP).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace {
+
+constexpr int kExitSkip = 77;
 
 struct Record {
   std::string metric;
@@ -33,7 +46,292 @@ struct Record {
   double cpus = 0;  // worker count axis, 0 when the record carries none
 };
 
-// Pulls the quoted string following `key`, or "" if absent before `until`.
+using Records = std::vector<Record>;
+
+// What a row found: whether the invariant holds, and the measurement or
+// the reason it does not.
+struct Verdict {
+  bool ok = true;
+  std::string detail;
+};
+
+Verdict Holds() { return {}; }
+Verdict Broken(std::string why) { return {false, std::move(why)}; }
+
+// Every record of `metric` (and `mode`, if non-empty).
+std::vector<const Record*> All(const Records& records,
+                               const std::string& metric,
+                               const std::string& mode = "") {
+  std::vector<const Record*> out;
+  for (const Record& r : records) {
+    if (r.metric == metric && (mode.empty() || r.mode == mode)) {
+      out.push_back(&r);
+    }
+  }
+  return out;
+}
+
+const Record* Find(const Records& records, const std::string& metric,
+                   const std::string& mode = "") {
+  std::vector<const Record*> found = All(records, metric, mode);
+  return found.empty() ? nullptr : found.front();
+}
+
+std::string Format(const char* format, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), format, v);
+  return buf;
+}
+
+std::string Num(double v) { return Format("%.6g", v); }
+std::string Ratio(double v) { return Format("%.3fx", v); }
+
+// Every record of `metric` must exist and keep `ok(value)`.
+template <typename Pred>
+Verdict EveryRecord(const Records& records, const std::string& metric,
+                    Pred ok, const std::string& bound) {
+  std::vector<const Record*> found = All(records, metric);
+  if (found.empty()) {
+    return Broken("'" + metric + "' records missing");
+  }
+  for (const Record* r : found) {
+    if (!ok(r->value)) {
+      return Broken("'" + metric + "' " + Num(r->value) +
+                    (r->mode.empty() ? "" : " (" + r->mode + ")") +
+                    ", needs " + bound);
+    }
+  }
+  return Holds();
+}
+
+// Each metric must have a record for each mode ("" = any mode), and with
+// `positive` that record must be > 0.
+Verdict Recorded(const Records& records,
+                 const std::vector<std::string>& metrics,
+                 const std::vector<std::string>& modes, bool positive) {
+  for (const std::string& metric : metrics) {
+    for (const std::string& mode : modes) {
+      const Record* r = Find(records, metric, mode);
+      if (r == nullptr || (positive && r->value <= 0)) {
+        return Broken("'" + metric + "'" +
+                      (mode.empty() ? "" : " for mode " + mode) +
+                      (positive ? " missing or zero" : " missing"));
+      }
+    }
+  }
+  return Holds();
+}
+
+Verdict Present(const Records& records,
+                const std::vector<std::string>& metrics,
+                const std::vector<std::string>& modes = {""}) {
+  return Recorded(records, metrics, modes, /*positive=*/false);
+}
+
+Verdict NonZero(const Records& records,
+                const std::vector<std::string>& metrics,
+                const std::vector<std::string>& modes = {""}) {
+  return Recorded(records, metrics, modes, /*positive=*/true);
+}
+
+// `ratio` must reach `required`; `measured` names what it was taken from.
+Verdict RatioAtLeast(double ratio, double required,
+                     const std::string& measured) {
+  return {ratio >= required, measured + ", " + Ratio(ratio) + ", needs >= " +
+                                 Ratio(required)};
+}
+
+// The 1->4 worker throughput ratio of `metric` must reach `required`.
+Verdict Speedup1To4(const Records& records, const std::string& metric,
+                    double required) {
+  double rate1 = 0;
+  double rate4 = 0;
+  for (const Record* r : All(records, metric)) {
+    if (r->cpus == 1) {
+      rate1 = r->value;
+    } else if (r->cpus == 4) {
+      rate4 = r->value;
+    }
+  }
+  if (rate1 <= 0 || rate4 <= 0) {
+    return Broken("'" + metric + "' lacks 1- and 4-worker records");
+  }
+  return RatioAtLeast(rate4 / rate1, required,
+                      Num(rate1) + " -> " + Num(rate4) + "/s");
+}
+
+// Below this the timer's resolution dominates a latency, and a ratio of
+// two such numbers means nothing.
+constexpr double kMinCredibleLatencyUs = 0.05;
+
+struct Invariant {
+  const char* bench;  // the report's "bench" field
+  const char* name;   // named in every FAIL and SKIP line
+  // Hardware threads the host must have for the row to mean anything.
+  int min_hw_cpus;
+  Verdict (*check)(const Records&);
+};
+
+// The invariants, by bench. A bench absent here is not a known report.
+const Invariant kInvariants[] = {
+    // Table 7: the execution tier. The threaded tier must run the
+    // safe-mode bytecode syscall workload at least 1.4x faster than the
+    // tree-walker (a loose floor: a quiet host measures 4-7x).
+    {"table7_syscall_latency", "threaded tier >= 1.4x the interpreter", 1,
+     [](const Records& r) {
+       const Record* interp = Find(r, "bytecode_syscall", "tier-interp");
+       const Record* threaded = Find(r, "bytecode_syscall", "tier-threaded");
+       if (interp == nullptr || threaded == nullptr) {
+         return Broken("bytecode_syscall tier-interp/tier-threaded missing");
+       }
+       if (interp->value < kMinCredibleLatencyUs ||
+           threaded->value < kMinCredibleLatencyUs) {
+         return Broken("latencies " + Num(interp->value) + " / " +
+                       Num(threaded->value) + " us are below the timer's "
+                       "credible floor of " + Num(kMinCredibleLatencyUs) +
+                       " us");
+       }
+       return RatioAtLeast(
+           interp->value / threaded->value, 1.4,
+           Num(interp->value) + " -> " + Num(threaded->value) + " us/call");
+     }},
+
+    // Net throughput: packet rates, and NAPI keeps rx interrupts per
+    // packet under 1 in every mode.
+    {"net_throughput", "udp packet rate recorded", 1,
+     [](const Records& r) { return Present(r, {"udp packets/sec"}); }},
+    {"net_throughput", "NAPI: rx irqs per packet < 1", 1,
+     [](const Records& r) {
+       return EveryRecord(r, "rx irqs per packet",
+                          [](double v) { return v < 1.0; }, "< 1");
+     }},
+
+    // c10k: event-driven I/O at scale. Every mode held 10,000
+    // connections; p99 stays under 10 s (queueing-dominated by design, the
+    // bound only catches a wedged event loop, and needs the driver and
+    // workers on separate threads); NAPI batching holds per frame.
+    {"c10k", "concurrent connections >= 10,000", 1,
+     [](const Records& r) {
+       return EveryRecord(r, "concurrent connections",
+                          [](double v) { return v >= 10000; }, ">= 10000");
+     }},
+    {"c10k", "latency p99 <= 10 s", 2,
+     [](const Records& r) {
+       return EveryRecord(r, "latency p99",
+                          [](double v) { return v <= 10e6; },
+                          "<= 1e+07 us");
+     }},
+    {"c10k", "NAPI: rx irqs per frame < 1", 1,
+     [](const Records& r) {
+       return EveryRecord(r, "rx irqs per frame",
+                          [](double v) { return v < 1.0; }, "< 1");
+     }},
+
+    // Table 6: thttpd bandwidth in all four kernel modes. Large-file
+    // serving is per-frame work: safe mode keeps >= 70% of native only
+    // while registering, dropping and checking an skb stays constant-time.
+    {"table6_thttpd_bandwidth", "311 B recorded in all four modes", 1,
+     [](const Records& r) {
+       return Present(r, {"311 B"},
+                      {"Linux-native", "Linux-SVA-GCC", "Linux-SVA-LLVM",
+                       "Linux-SVA-Safe"});
+     }},
+    {"table6_thttpd_bandwidth", "85 KB: Linux-SVA-Safe >= 0.70x native", 1,
+     [](const Records& r) {
+       const Record* native = Find(r, "85 KB", "Linux-native");
+       const Record* safe = Find(r, "85 KB", "Linux-SVA-Safe");
+       if (native == nullptr || safe == nullptr) {
+         return Broken("'85 KB' missing for Linux-native or Linux-SVA-Safe");
+       }
+       return RatioAtLeast(safe->value / native->value, 0.70,
+                           Num(safe->value) + " of " + Num(native->value) +
+                               " KB/s native");
+     }},
+
+    // SMP scaling from 1 to 4 workers. The kernel phase still takes leaf
+    // locks on its write paths (a loose 1.3x); the read-mostly phase
+    // (stat/getpid/lseek) resolves fds and paths under epoch protection
+    // with no shared lock, so falling under 2.5x means a reader path
+    // regressed onto files_lock_ or vfs_lock_.
+    {"smp_scaling", "kernel and read-mostly phases recorded", 1,
+     [](const Records& r) {
+       return NonZero(r, {"kernel syscalls/sec", "readmostly syscalls/sec"});
+     }},
+    {"smp_scaling", "kernel phase 1->4 workers >= 1.3x", 4,
+     [](const Records& r) {
+       return Speedup1To4(r, "kernel syscalls/sec", 1.3);
+     }},
+    {"smp_scaling", "read-mostly phase 1->4 workers >= 2.5x", 4,
+     [](const Records& r) {
+       return Speedup1To4(r, "readmostly syscalls/sec", 2.5);
+     }},
+
+    // VM operations: COW fork beats the eager copy; fault and shootdown
+    // latencies are recorded for every kind and invalidation mode.
+    {"vm_ops", "COW fork beats the eager copy", 1,
+     [](const Records& r) {
+       const Record* cow = Find(r, "fork.latency", "cow");
+       const Record* eager = Find(r, "fork.latency", "eager");
+       if (cow == nullptr || eager == nullptr) {
+         return Broken("fork.latency missing for cow or eager");
+       }
+       return Verdict{cow->value < eager->value,
+                      "cow " + Num(cow->value) + " ns, eager " +
+                          Num(eager->value) + " ns"};
+     }},
+    {"vm_ops", "fault latencies recorded", 1,
+     [](const Records& r) {
+       return NonZero(r, {"fault.demand_fill", "fault.tlb_hit",
+                          "fault.cow_break_copy"});
+     }},
+    {"vm_ops", "shootdown latency recorded per mode", 1,
+     [](const Records& r) {
+       return NonZero(r, {"shootdown.latency"}, {"page", "asid"});
+     }},
+
+    // Trace overhead: disabled tracepoints cost <= 2% and profiling <= 5%
+    // of the workload; the profiler records samples; metrics mode is
+    // measured per workload and over the Table 7 mix.
+    {"trace_overhead", "disabled tracepoints <= 2%", 1,
+     [](const Records& r) {
+       return EveryRecord(r, "estimated disabled overhead",
+                          [](double v) { return v <= 2.0; }, "<= 2%");
+     }},
+    {"trace_overhead", "profiling hooks <= 5% in every mode", 1,
+     [](const Records& r) {
+       Verdict v = Present(r, {"estimated profiling overhead"},
+                           {"tier-interp", "tier-threaded", "table7-mix"});
+       if (!v.ok) {
+         return v;
+       }
+       return EveryRecord(r, "estimated profiling overhead",
+                          [](double x) { return x <= 5.0; }, "<= 5%");
+     }},
+    {"trace_overhead", "profiler recorded samples", 1,
+     [](const Records& r) { return NonZero(r, {"prof samples"}); }},
+    {"trace_overhead", "metrics overhead measured per workload", 1,
+     [](const Records& r) {
+       return Present(r, {"measured metrics overhead"},
+                      {"getpid", "open+close", "pipe w+r", "table7-mix"});
+     }},
+};
+
+bool KnownBench(const std::string& bench) {
+  for (const Invariant& inv : kInvariants) {
+    if (bench == inv.bench) {
+      return true;
+    }
+  }
+  return false;
+}
+
+struct Report {
+  std::string bench;
+  double hw_cpus = 0;
+  Records records;
+};
+
+// Pulls the quoted string following `key` in [from, until), or "".
 std::string FindString(const std::string& text, const std::string& key,
                        size_t from, size_t until) {
   size_t pos = text.find(key, from);
@@ -42,30 +340,35 @@ std::string FindString(const std::string& text, const std::string& key,
   }
   pos += key.size();
   size_t end = text.find('"', pos);
-  if (end == std::string::npos) {
-    return "";
-  }
-  return text.substr(pos, end - pos);
+  return end == std::string::npos ? "" : text.substr(pos, end - pos);
 }
 
-// Loads a bench report. `hw_cpus_out`, when non-null, receives the file-level
-// "hw_cpus" field (hardware threads on the recording host), or 0 if absent.
-bool LoadReport(const std::string& path, std::vector<Record>* records,
-                double* hw_cpus_out = nullptr) {
+// Loads a bench report; on failure returns false and sets `error`.
+bool LoadReport(const std::string& path, Report* report, std::string* error) {
   std::ifstream in(path);
   if (!in) {
+    *error = "cannot read the file";
     return false;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string text = buffer.str();
-  if (hw_cpus_out != nullptr) {
-    *hw_cpus_out = 0;
-    size_t hpos = text.find("\"hw_cpus\": ");
-    if (hpos != std::string::npos) {
-      *hw_cpus_out = std::strtod(text.c_str() + hpos + 11, nullptr);
-    }
+  const size_t records_at = text.find("\"records\":");
+  report->bench = FindString(text, "\"bench\": \"", 0, records_at);
+  if (report->bench.empty()) {
+    *error = "no \"bench\" field";
+    return false;
   }
+  if (!KnownBench(report->bench)) {
+    *error = "unknown bench \"" + report->bench + "\"";
+    return false;
+  }
+  const size_t hpos = text.find("\"hw_cpus\": ");
+  if (hpos == std::string::npos || hpos > records_at) {
+    *error = "no \"hw_cpus\" field";
+    return false;
+  }
+  report->hw_cpus = std::strtod(text.c_str() + hpos + 11, nullptr);
   size_t pos = 0;
   while ((pos = text.find("{\"metric\": \"", pos)) != std::string::npos) {
     size_t line_end = text.find('\n', pos);
@@ -77,6 +380,7 @@ bool LoadReport(const std::string& path, std::vector<Record>* records,
     r.mode = FindString(text, "\"mode\": \"", pos, line_end);
     size_t vpos = text.find("\"value\": ", pos);
     if (r.metric.empty() || vpos == std::string::npos || vpos >= line_end) {
+      *error = "malformed record";
       return false;
     }
     r.value = std::strtod(text.c_str() + vpos + 9, nullptr);
@@ -84,30 +388,58 @@ bool LoadReport(const std::string& path, std::vector<Record>* records,
     if (cpos != std::string::npos && cpos < line_end) {
       r.cpus = std::strtod(text.c_str() + cpos + 8, nullptr);
     }
-    records->push_back(std::move(r));
+    report->records.push_back(std::move(r));
     pos = line_end;
   }
-  return !records->empty();
+  if (report->records.empty()) {
+    *error = "no records";
+    return false;
+  }
+  return true;
 }
 
-int g_failures = 0;
+struct Tally {
+  int failures = 0;
+  int skips = 0;
+};
 
-void Fail(const std::string& file, const std::string& why) {
-  std::fprintf(stderr, "check-bench-regress: %s: %s\n", file.c_str(),
+void Fail(Tally* tally, const std::string& file, const std::string& why) {
+  std::fprintf(stderr, "check-bench-regress: %s: FAIL %s\n", file.c_str(),
                why.c_str());
-  ++g_failures;
+  ++tally->failures;
 }
 
-// Returns the first record matching metric (and mode, if non-empty), or
-// nullptr.
-const Record* Find(const std::vector<Record>& records,
-                   const std::string& metric, const std::string& mode = "") {
-  for (const Record& r : records) {
-    if (r.metric == metric && (mode.empty() || r.mode == mode)) {
-      return &r;
+// Runs the rows of the report's bench. `fresh` selects what a host with too
+// few hardware threads means: a skip for fresh output, a failure for a
+// committed record.
+void CheckReport(const std::string& file, const Report& report, bool fresh,
+                 Tally* tally) {
+  for (const Invariant& inv : kInvariants) {
+    if (report.bench != inv.bench) {
+      continue;
+    }
+    if (report.hw_cpus < inv.min_hw_cpus) {
+      std::string why = std::string(inv.name) + ": host has " +
+                        Num(report.hw_cpus) + " hardware thread(s), needs " +
+                        std::to_string(inv.min_hw_cpus);
+      if (fresh) {
+        std::printf("check-bench-regress: %s: SKIP %s\n", file.c_str(),
+                    why.c_str());
+        ++tally->skips;
+      } else {
+        Fail(tally, file, why + "; re-record it on such a host");
+      }
+      continue;
+    }
+    Verdict v = inv.check(report.records);
+    if (!v.ok) {
+      Fail(tally, file, std::string(inv.name) + ": " + v.detail);
+    } else {
+      std::string detail = v.detail.empty() ? "" : " (" + v.detail + ")";
+      std::printf("check-bench-regress: %s: ok %s%s\n", file.c_str(),
+                  inv.name, detail.c_str());
     }
   }
-  return nullptr;
 }
 
 }  // namespace
@@ -115,258 +447,60 @@ const Record* Find(const std::vector<Record>& records,
 int main(int argc, char** argv) {
   if (argc != 2) {
     std::fprintf(stderr,
-                 "usage: check-bench-regress <bench/records directory>\n");
+                 "usage: check-bench-regress <records directory | "
+                 "report.json>\n");
     return 1;
   }
-  const std::string dir = argv[1];
+  namespace fs = std::filesystem;
+  const fs::path input = argv[1];
+  const bool fresh = !fs::is_directory(input);
+  std::vector<fs::path> files;
+  if (fresh) {
+    files.push_back(input);
+  } else {
+    for (const fs::directory_entry& e : fs::directory_iterator(input)) {
+      if (e.path().extension() == ".json") {
+        files.push_back(e.path());
+      }
+    }
+    std::sort(files.begin(), files.end());
+  }
 
-  // --- BENCH_table7.json: per-mode syscall latency + tier comparison -------
-  {
-    const std::string file = dir + "/BENCH_table7.json";
-    std::vector<Record> records;
-    if (!LoadReport(file, &records)) {
-      Fail(file, "missing or has no records");
-    } else {
-      const Record* interp = Find(records, "bytecode_syscall", "tier-interp");
-      const Record* threaded =
-          Find(records, "bytecode_syscall", "tier-threaded");
-      if (interp == nullptr || threaded == nullptr) {
-        Fail(file, "tier comparison records missing");
-      } else if (threaded->value >= interp->value) {
-        Fail(file, "threaded tier no longer beats the interpreter");
+  Tally tally;
+  std::set<std::string> seen;
+  for (const fs::path& path : files) {
+    Report report;
+    std::string error;
+    if (!LoadReport(path.string(), &report, &error)) {
+      Fail(&tally, path.string(), error);
+      continue;
+    }
+    if (!seen.insert(report.bench).second) {
+      Fail(&tally, path.string(),
+           "second record for bench \"" + report.bench + "\"");
+      continue;
+    }
+    CheckReport(path.string(), report, fresh, &tally);
+  }
+  if (!fresh) {
+    for (const Invariant& inv : kInvariants) {
+      if (seen.insert(inv.bench).second) {
+        Fail(&tally, input.string(),
+             std::string("no record for bench \"") + inv.bench + "\"");
       }
     }
   }
 
-  // --- BENCH_net_throughput.json: packet rates + the NAPI invariant --------
-  {
-    const std::string file = dir + "/BENCH_net_throughput.json";
-    std::vector<Record> records;
-    if (!LoadReport(file, &records)) {
-      Fail(file, "missing or has no records");
-    } else {
-      if (Find(records, "udp packets/sec") == nullptr) {
-        Fail(file, "'udp packets/sec' records missing");
-      }
-      bool saw_irq = false;
-      for (const Record& r : records) {
-        if (r.metric != "rx irqs per packet") {
-          continue;
-        }
-        saw_irq = true;
-        if (r.value >= 1.0) {
-          Fail(file, "NAPI regression: >= 1 rx interrupt per packet (" +
-                         r.mode + ")");
-        }
-      }
-      if (!saw_irq) {
-        Fail(file, "'rx irqs per packet' records missing");
-      }
-    }
-  }
-
-  // --- BENCH_c10k.json: the event-driven I/O scale record ------------------
-  {
-    const std::string file = dir + "/BENCH_c10k.json";
-    std::vector<Record> records;
-    if (!LoadReport(file, &records)) {
-      Fail(file, "missing or has no records");
-    } else {
-      const Record* conns = Find(records, "concurrent connections");
-      if (conns == nullptr) {
-        Fail(file, "'concurrent connections' record missing");
-      } else if (conns->value < 10000) {
-        Fail(file, "record holds fewer than 10,000 connections");
-      }
-      if (Find(records, "latency p99") == nullptr) {
-        Fail(file, "'latency p99' record missing");
-      }
-      const Record* irq = Find(records, "rx irqs per frame");
-      if (irq == nullptr) {
-        Fail(file, "'rx irqs per frame' record missing");
-      } else if (irq->value >= 1.0) {
-        Fail(file, "NAPI regression inside the c10k record");
-      }
-    }
-  }
-
-  // --- BENCH_table6.json: thttpd bandwidth across all four kernel modes ----
-  {
-    const std::string file = dir + "/BENCH_table6.json";
-    std::vector<Record> records;
-    if (!LoadReport(file, &records)) {
-      Fail(file, "missing or has no records");
-    } else {
-      for (const char* mode :
-           {"Linux-native", "Linux-SVA-GCC", "Linux-SVA-LLVM",
-            "Linux-SVA-Safe"}) {
-        if (Find(records, "311 B", mode) == nullptr) {
-          Fail(file, std::string("'311 B' record missing for mode ") + mode);
-        }
-      }
-      // Large-file serving is per-frame work: safe mode keeps >= 70% of
-      // native bandwidth only while registering, dropping and checking an
-      // skb stays constant-time (the slab-indexed MPc.skbuff registry).
-      const Record* native = Find(records, "85 KB", "Linux-native");
-      const Record* safe = Find(records, "85 KB", "Linux-SVA-Safe");
-      if (native == nullptr || safe == nullptr) {
-        Fail(file, "'85 KB' record missing for Linux-native or Linux-SVA-Safe");
-      } else if (safe->value < 0.70 * native->value) {
-        Fail(file, "85 KB: Linux-SVA-Safe below 0.70x Linux-native");
-      }
-    }
-  }
-
-  // --- BENCH_smp_scaling.json: the BKL-split + epoch-read trajectory -------
-  {
-    const std::string file = dir + "/BENCH_smp_scaling.json";
-    std::vector<Record> records;
-    double hw_cpus = 0;
-    if (!LoadReport(file, &records, &hw_cpus)) {
-      Fail(file, "missing or has no records");
-    } else {
-      // Both phases must be present regardless of the recording host.
-      for (const char* metric :
-           {"kernel syscalls/sec", "readmostly syscalls/sec"}) {
-        bool present = false;
-        for (const Record& r : records) {
-          if (r.metric == metric && r.value > 0) {
-            present = true;
-          }
-        }
-        if (!present) {
-          Fail(file, std::string("'") + metric + "' records missing");
-        }
-      }
-      // The 1->4 worker ratios gate only a record from a host that could
-      // run the 4 workers in parallel; a record from a smaller host is not
-      // evidence of scaling, so it fails instead of skipping the ratios.
-      if (hw_cpus < 4) {
-        Fail(file, "recorded on a host with hw_cpus < 4; re-record it with "
-                   "4 hardware threads to gate the 1->4 worker ratios");
-      } else {
-        struct PhaseGate {
-          const char* metric;
-          double required;
-          const char* what;
-        };
-        for (const PhaseGate& gate :
-             {PhaseGate{"kernel syscalls/sec", 1.3,
-                        "kernel phase fell back onto the big kernel lock?"},
-              PhaseGate{"readmostly syscalls/sec", 2.5,
-                        "epoch-protected read path regressed onto "
-                        "files_lock_/vfs_lock_?"}}) {
-          double rate1 = 0;
-          double rate4 = 0;
-          for (const Record& r : records) {
-            if (r.metric != gate.metric) {
-              continue;
-            }
-            if (r.cpus == 1) {
-              rate1 = r.value;
-            } else if (r.cpus == 4) {
-              rate4 = r.value;
-            }
-          }
-          if (rate1 <= 0 || rate4 <= 0) {
-            Fail(file, std::string("'") + gate.metric +
-                           "' lacks 1- and 4-worker records");
-          } else if (rate4 / rate1 < gate.required) {
-            Fail(file, std::string("'") + gate.metric +
-                           "' 1->4 speedup under its floor — " + gate.what);
-          }
-        }
-      }
-    }
-  }
-
-  // --- BENCH_vm_ops.json: fault/fork/shootdown latency invariants ----------
-  {
-    const std::string file = dir + "/BENCH_vm_ops.json";
-    std::vector<Record> records;
-    if (!LoadReport(file, &records)) {
-      Fail(file, "missing or has no records");
-    } else {
-      const Record* cow = Find(records, "fork.latency", "cow");
-      const Record* eager = Find(records, "fork.latency", "eager");
-      if (cow == nullptr || eager == nullptr) {
-        Fail(file, "fork.latency records missing (need cow and eager)");
-      } else if (cow->value >= eager->value) {
-        Fail(file, "COW fork no longer beats the eager copy");
-      }
-      for (const char* metric :
-           {"fault.demand_fill", "fault.tlb_hit", "fault.cow_break_copy"}) {
-        const Record* r = Find(records, metric);
-        if (r == nullptr || r->value <= 0) {
-          Fail(file, std::string("'") + metric + "' record missing or zero");
-        }
-      }
-      // Shootdown cost must be recorded for both invalidation modes; the
-      // cpus axis rides in the same records.
-      for (const char* mode : {"page", "asid"}) {
-        const Record* r = Find(records, "shootdown.latency", mode);
-        if (r == nullptr || r->value <= 0) {
-          Fail(file, std::string("shootdown.latency missing for mode ") +
-                         mode);
-        }
-      }
-    }
-  }
-
-  // --- BENCH_trace_overhead.json: observability cost invariants ------------
-  {
-    const std::string file = dir + "/BENCH_trace_overhead.json";
-    std::vector<Record> records;
-    if (!LoadReport(file, &records)) {
-      Fail(file, "missing or has no records");
-    } else {
-      const Record* disabled = Find(records, "estimated disabled overhead");
-      if (disabled == nullptr) {
-        Fail(file, "'estimated disabled overhead' record missing");
-      } else if (disabled->value > 2.0) {
-        Fail(file, "disabled tracepoints cost more than 2% of the workload");
-      }
-      bool saw_prof = false;
-      for (const Record& r : records) {
-        if (r.metric != "estimated profiling overhead") {
-          continue;
-        }
-        saw_prof = true;
-        if (r.value > 5.0) {
-          Fail(file, "profiling hooks cost more than 5% (" + r.mode + ")");
-        }
-      }
-      if (!saw_prof) {
-        Fail(file, "'estimated profiling overhead' records missing");
-      }
-      for (const char* mode : {"tier-interp", "tier-threaded", "table7-mix"}) {
-        if (Find(records, "estimated profiling overhead", mode) == nullptr) {
-          Fail(file, std::string("'estimated profiling overhead' missing "
-                                 "for mode ") +
-                         mode);
-        }
-      }
-      const Record* samples = Find(records, "prof samples");
-      if (samples == nullptr || samples->value <= 0) {
-        Fail(file, "'prof samples' record missing or zero");
-      }
-      // Metrics mode is measured end to end (interleaved blocks), per
-      // workload and over the Table 7 mix.
-      for (const char* mode : {"getpid", "open+close", "pipe w+r",
-                               "table7-mix"}) {
-        if (Find(records, "measured metrics overhead", mode) == nullptr) {
-          Fail(file, std::string("'measured metrics overhead' missing for "
-                                 "mode ") +
-                         mode);
-        }
-      }
-    }
-  }
-
-  if (g_failures != 0) {
-    std::fprintf(stderr, "check-bench-regress: %d failure(s)\n", g_failures);
+  if (tally.failures != 0) {
+    std::fprintf(stderr, "check-bench-regress: %d failure(s)\n",
+                 tally.failures);
     return 1;
   }
-  std::printf("check-bench-regress: all longitudinal records healthy\n");
+  if (tally.skips != 0) {
+    std::printf("check-bench-regress: %d invariant(s) skipped\n",
+                tally.skips);
+    return kExitSkip;
+  }
+  std::printf("check-bench-regress: every invariant holds\n");
   return 0;
 }

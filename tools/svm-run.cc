@@ -267,12 +267,11 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "svm-run: tier dispatch: threaded %llu fns / %llu ops, interp "
-        "%llu fns / %llu ops, %llu fallback fn(s)\n",
+        "%llu fns / %llu ops\n",
         static_cast<unsigned long long>(tiers.threaded_fns.load()),
         static_cast<unsigned long long>(tiers.threaded_ops.load()),
         static_cast<unsigned long long>(tiers.interp_fns.load()),
-        static_cast<unsigned long long>(tiers.interp_ops.load()),
-        static_cast<unsigned long long>(tiers.fallback_fns.load()));
+        static_cast<unsigned long long>(tiers.interp_ops.load()));
     std::fprintf(stderr,
                  "svm-run: %llu checks performed (%llu bounds, %llu "
                  "load/store, %llu indirect, %llu frees), %llu failed, "
