@@ -18,13 +18,19 @@
 //      of docs/CONCURRENCY.md §5 and takes no kernel lock at any rank, so
 //      this phase is the scaling headline (tools/check-bench-regress gates
 //      it at >= 2.5x for 4 workers on hosts with >= 4 hardware threads).
-//   5. Detection parity: the Section 7.2 exploit suite run single-threaded
+//   5. A private-objects mix: each worker reads and writes its own file
+//      and round-trips its own pipe. Every call takes only the lock of the
+//      inode or pipe it touches, so workers share no kernel lock
+//      (tools/check-bench-regress gates 1 -> 2 workers at >= 1.3x on hosts
+//      with >= 4 hardware threads).
+//   6. Detection parity: the Section 7.2 exploit suite run single-threaded
 //      and as 8 concurrent worker replicas must catch exactly the same
 //      exploits (concurrency must never change what the checks detect).
 //
 // Flags: --cpus N caps the worker counts swept (default 8); --quick shrinks
 // iteration counts to CI size; --json PATH emits machine-readable records
-// (tools/check-bench-regress gates the kernel and read-mostly speedups).
+// (tools/check-bench-regress gates the kernel, read-mostly and
+// private-objects speedups).
 //
 // Note on measured speedup: the wall-clock numbers depend on how many
 // hardware threads the host actually has. On a host with fewer hardware
@@ -341,6 +347,72 @@ void ReadMostlyPhase() {
                     "readmostly syscalls/sec");
 }
 
+void PrivateObjectsPhase() {
+  std::printf(
+      "Private-objects phase: each worker reads and writes its own file and "
+      "round-trips its own pipe (per-inode and per-pipe locks)\n\n");
+  const std::vector<unsigned> counts = ThreadCounts();
+  BootedKernel booted(kernel::KernelMode::kSvaSafe);
+  constexpr uint64_t kFileBytes = 4096;
+  constexpr uint64_t kIo = 256;
+  constexpr uint64_t kPipeIo = 64;
+  struct Objects {
+    uint64_t fd = 0;
+    uint64_t pipe_r = 0;
+    uint64_t pipe_w = 0;
+    uint64_t buf = 0;  // This worker's own user page.
+  };
+  std::vector<Objects> objects(counts.back());
+  std::vector<char> fill(hw::kPageSize, 'p');
+  bool ok = true;
+  for (unsigned t = 0; t < counts.back(); ++t) {
+    Objects& o = objects[t];
+    // One page per worker in the upper half of the 16-page user image;
+    // touched up front, so no worker faults on the clock.
+    o.buf = booted.user((8 + t) * hw::kPageSize);
+    ok = ok && booted.k().PokeUser(o.buf, fill.data(), fill.size()).ok();
+    o.fd = booted.OpenFile("/bench/private" + std::to_string(t));
+    ok = ok && booted.Call(kernel::Sys::kWrite, o.fd, o.buf, kFileBytes) ==
+                   kFileBytes;
+    ok = ok && booted.Call(kernel::Sys::kPipe, o.buf) == 0;
+    uint32_t fds[2] = {0, 0};
+    ok = ok && booted.k().PeekUser(o.buf, fds, sizeof(fds)).ok();
+    o.pipe_r = fds[0];
+    o.pipe_w = fds[1];
+  }
+  // Every call's result is checked: a failing call (a bad buffer, say)
+  // takes the violation path, whose shared log would be measured instead.
+  std::atomic<uint64_t> wrong{0};
+  const uint64_t calls_per_worker = g_calls_per_worker;
+  std::vector<double> best_us =
+      FastestRoundsUs(booted, counts, [&](unsigned t) {
+        const Objects& o = objects[t];
+        uint64_t bad = 0;
+        for (uint64_t i = 0; i < calls_per_worker; ++i) {
+          const uint64_t at = (i % (kFileBytes / kIo)) * kIo;
+          bad += booted.Call(kernel::Sys::kLseek, o.fd, at, 0) != at;
+          bad += booted.Call(kernel::Sys::kRead, o.fd, o.buf, kIo) != kIo;
+          bad += booted.Call(kernel::Sys::kLseek, o.fd, at, 0) != at;
+          bad += booted.Call(kernel::Sys::kWrite, o.fd, o.buf, kIo) != kIo;
+          bad += booted.Call(kernel::Sys::kWrite, o.pipe_w, o.buf, kPipeIo) !=
+                 kPipeIo;
+          bad += booted.Call(kernel::Sys::kRead, o.pipe_r, o.buf + kIo,
+                             kPipeIo) != kPipeIo;
+        }
+        wrong.fetch_add(bad, std::memory_order_relaxed);
+      });
+  if (!ok || wrong.load() != 0) {
+    std::fprintf(stderr,
+                 "smp_scaling: private-objects phase: setup %s, %llu "
+                 "unexpected syscall results\n",
+                 ok ? "ok" : "failed",
+                 static_cast<unsigned long long>(wrong.load()));
+    std::exit(1);
+  }
+  PrintSyscallTable(counts, best_us, 6.0 * calls_per_worker,
+                    "private syscalls/sec");
+}
+
 // Runs the five-exploit suite once on the calling thread; returns the caught
 // bitmap (bit i = scenario i stopped by the checks).
 uint32_t RunExploitSuite() {
@@ -399,11 +471,16 @@ void Run() {
               "checks\n");
   std::printf("Host hardware threads: %u\n\n",
               std::thread::hardware_concurrency());
+  // The gated syscall phases run first: on a shared VM the host threads a
+  // process gets thin out after seconds of load on every thread, and the
+  // check-only phases (8 threads, ungated) would otherwise spend that
+  // budget before the gated ratios are measured.
+  KernelSyscallPhase();
+  ReadMostlyPhase();
+  PrivateObjectsPhase();
   PrintScalingTable("Phase 1: shared runtime, check-only workload", false);
   PrintScalingTable("Phase 2: shared runtime, checks + register/drop mix",
                     true);
-  KernelSyscallPhase();
-  ReadMostlyPhase();
   DetectionParityPhase();
   std::printf(
       "The lock-free column is the measured fraction of lookups served by "

@@ -31,7 +31,6 @@ namespace {
 constexpr uint64_t kEInval = static_cast<uint64_t>(-22);
 constexpr uint64_t kEBadF = static_cast<uint64_t>(-9);
 constexpr uint64_t kENoEnt = static_cast<uint64_t>(-2);
-constexpr uint64_t kEMFile = static_cast<uint64_t>(-24);
 constexpr uint64_t kEExist = static_cast<uint64_t>(-17);
 
 void EraseValue(std::vector<int>& values, int value) {
@@ -60,15 +59,10 @@ Result<uint64_t> Kernel::SysEvqCreate() {
     DestroyEvq(evq_id);
     return file_addr.status();
   }
-  auto file = std::make_unique<OpenFile>();
+  auto* file = new OpenFile;
   file->addr = *file_addr;
-  file->refs = 1;
   file->evq_id = evq_id;
-  auto fd = AllocateFd(*task, AddOpenFile(std::move(file)));
-  if (!fd.ok()) {
-    return kEMFile;
-  }
-  return static_cast<uint64_t>(*fd);
+  return InstallFd(*task, file);
 }
 
 Result<uint64_t> Kernel::SysEvqCtl(uint64_t evq_fd, uint64_t op_and_interest,

@@ -87,24 +87,28 @@ Kernel::Kernel(hw::Machine& machine, KernelConfig config)
       pools_(runtime::EnforcementMode::kTrap) {}
 
 Kernel::~Kernel() {
-  // Drain the epoch machinery first: retired fd tables, open files, inodes
+  // Files, pipes and inodes are owned by references. Drop the ones the
+  // live tasks' fds and the namespace still hold, through the same release
+  // paths as close and unlink, so each object is retired exactly once.
+  for (auto& [pid, task] : tasks_) {
+    CloseAllFds(task);
+  }
+  if (DirIndex* index = dir_index_.exchange(nullptr,
+                                            std::memory_order_relaxed)) {
+    for (const auto& [path, inode] : index->entries) {
+      UnrefInode(inode);
+    }
+    delete index;
+  }
+  // Then drain the epoch machinery: retired fd tables, open files, inodes
   // and directory-index snapshots capture this kernel's allocators in their
   // reclaim callbacks, so every pending retiree must run before the member
   // destructors below tear the allocators down. The caller guarantees no
   // syscall is still in flight, so the pinned-reader population is zero
   // (or draining) and Synchronize terminates.
   smp::EpochDomain::Global().Synchronize();
-  // The epoch-published snapshots and the open-file table are owned raw:
-  // with every reader gone, delete them directly.
+  // The task index is owned raw: with every reader gone, delete it.
   delete task_index_.exchange(nullptr, std::memory_order_relaxed);
-  delete dir_index_.exchange(nullptr, std::memory_order_relaxed);
-  if (OpenFileTable* tab =
-          open_files_tab_.exchange(nullptr, std::memory_order_relaxed)) {
-    for (uint64_t i = 0; i < open_files_count_; ++i) {
-      delete tab->entries[i].load(std::memory_order_relaxed);
-    }
-    delete tab;
-  }
   // The profiler sampler can outlive this kernel (another kernel's session
   // keeps the refcount up) and its tick hook targets our timer: flip the
   // shared guard first so a late tick becomes a locked no-op, then unhook
@@ -142,6 +146,7 @@ Status Kernel::Boot() {
   // concurrent connections without fd pooling).
   task_cache_ = allocators_->CreateCache(
       "task_struct", kTaskFdArrayOffset + 4 * config_.max_fds);
+  task_pool_ = allocators_->PoolForCache(task_cache_);
   inode_cache_ = allocators_->CreateCache("inode", 96);
   file_cache_ = allocators_->CreateCache("filp", 48);
   pipe_cache_ = allocators_->CreateCache("pipe_inode_info", 64);
@@ -198,15 +203,14 @@ Status Kernel::Boot() {
     }
   }
 
-  // /dev/null.
-  Inode null_dev;
-  null_dev.ino = 0;
-  null_dev.name = "/dev/null";
-  inodes_[0] = null_dev;
-  namespace_["/dev/null"] = 0;
+  // /dev/null: ino 0, linked for the kernel's lifetime (unlink refuses it).
+  SVA_ASSIGN_OR_RETURN(uint64_t null_addr,
+                       allocators_->CacheAlloc(inode_cache_));
+  auto* null_dev = new Inode;
+  null_dev->addr = null_addr;
   {
     std::lock_guard<smp::OrderedSpinLock> guard(vfs_lock_);
-    RepublishDirIndex();
+    PublishDirIndex(new DirIndex{{{"/dev/null", null_dev}}});
   }
 
   // pid 1: init.
@@ -319,8 +323,8 @@ Result<uint64_t> Kernel::HandleSyscall(Sys number,
   if (config_.mode == KernelMode::kSvaSafe) {
     // The load of the current task structure goes through the task cache's
     // metapool (a TH pool: bounds lookups only, no load-store check).
-    SVA_RETURN_IF_ERROR(BoundsCheckObject(
-        allocators_->PoolForCache(task_cache_), task->addr, task->addr + 8));
+    SVA_RETURN_IF_ERROR(
+        BoundsCheckObject(task_pool_, task->addr, task->addr + 8));
   }
 
   Result<uint64_t> result = [&]() -> Result<uint64_t> {
@@ -649,18 +653,11 @@ void Kernel::RepublishTaskIndex(int skip_pid) {
   }
 }
 
-void Kernel::RepublishDirIndex() {
+void Kernel::PublishDirIndex(DirIndex* fresh) {
   // Caller holds vfs_lock_. Same snapshot discipline as the task index:
-  // Inode pointers are map-node-stable, and SysUnlink extracts the node
-  // only after publishing the entry's absence (retiring the node through
-  // the epoch machinery so pinned readers finish against intact memory).
-  auto* fresh = new DirIndex;
-  for (const auto& [path, ino] : namespace_) {
-    auto it = inodes_.find(ino);
-    if (it != inodes_.end()) {
-      fresh->entries.emplace(path, &it->second);
-    }
-  }
+  // SysUnlink drops the entry's inode reference only after publishing its
+  // absence, and the inode itself is retired through the epoch machinery,
+  // so readers pinned on the old snapshot finish against intact memory.
   DirIndex* old = dir_index_.exchange(fresh, std::memory_order_acq_rel);
   if (old != nullptr) {
     smp::RetireDelete(old);
@@ -775,32 +772,6 @@ Status Kernel::Yield() {
 
 // --- Files --------------------------------------------------------------------------
 
-int Kernel::AddOpenFile(std::unique_ptr<OpenFile> file) {
-  std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
-  OpenFileTable* tab = open_files_tab_.load(std::memory_order_relaxed);
-  if (tab == nullptr || open_files_count_ == tab->capacity) {
-    // Copy-on-update growth: build the doubled table, publish it with
-    // release ordering, retire the old one. A reader pinned on the old
-    // table keeps indexing it — every index below open_files_count_ holds
-    // the same entry pointer in both tables.
-    auto* grown = new OpenFileTable(tab == nullptr ? 64 : tab->capacity * 2);
-    for (uint64_t i = 0; i < open_files_count_; ++i) {
-      grown->entries[i].store(tab->entries[i].load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-    }
-    open_files_tab_.store(grown, std::memory_order_release);
-    if (tab != nullptr) {
-      smp::RetireDelete(tab);
-    }
-    tab = grown;
-  }
-  // Indices are append-only and never reused, so a retired-then-reused
-  // slot can never alias an old fd's index (no ABA for lock-free readers).
-  tab->entries[open_files_count_].store(file.release(),
-                                        std::memory_order_release);
-  return static_cast<int>(open_files_count_++);
-}
-
 Status Kernel::FdSlotCheck(Task& task, uint64_t fd) {
   // SVA-safe: indexing the fd array is an array indexing operation; the
   // compiler emits a bounds check against the object backing the array —
@@ -817,7 +788,7 @@ Status Kernel::FdSlotCheck(Task& task, uint64_t fd) {
         allocators_->PoolForKmallocClass(allocators_->KmallocSize(block)),
         block, block + fd * 4);
   }
-  return BoundsCheckObject(allocators_->PoolForCache(task_cache_), task.addr,
+  return BoundsCheckObject(task_pool_, task.addr,
                            task.addr + kTaskFdArrayOffset + fd * 4);
 }
 
@@ -865,159 +836,187 @@ Status Kernel::EnsureFdCapacity(Task& task, uint64_t capacity) {
   return OkStatus();
 }
 
-Result<int> Kernel::AllocateFd(Task& task, int file_index) {
-  std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
+Result<int> Kernel::AllocateFdLocked(Task& task, OpenFile* file) {
   FdTable* table = task.fds.load_plain();
   // Every slot below fd_next_hint is occupied (SysClose/SysExit lower the
   // hint on free), so scanning from it finds the lowest free slot without
   // the O(table) walk that would make 10k accepts quadratic.
-  size_t start = std::min<size_t>(
+  size_t fd = std::min<size_t>(
       static_cast<size_t>(std::max(task.fd_next_hint, 0)),
       static_cast<size_t>(table->capacity));
-  for (size_t fd = start; fd < table->capacity; ++fd) {
-    if (table->slots[fd].load(std::memory_order_relaxed) < 0) {
-      SVA_RETURN_IF_ERROR(FdSlotCheck(task, fd));
-      // Release: a lock-free reader that observes this index also observes
-      // the fully-initialized OpenFile published by AddOpenFile.
-      table->slots[fd].store(file_index, std::memory_order_release);
-      task.fd_next_hint = static_cast<int>(fd) + 1;
-      return static_cast<int>(fd);
-    }
+  while (fd < table->capacity &&
+         table->slots[fd].load(std::memory_order_relaxed) != nullptr) {
+    ++fd;
   }
-  // Table genuinely full: grow it and take the first new slot.
-  size_t fd = table->capacity;
-  SVA_RETURN_IF_ERROR(GrowFdTable(task));
+  if (fd == table->capacity) {
+    // Table genuinely full: grow it and take the first new slot.
+    SVA_RETURN_IF_ERROR(GrowFdTable(task));
+    table = task.fds.load_plain();
+  }
   SVA_RETURN_IF_ERROR(FdSlotCheck(task, fd));
-  task.fds.load_plain()->slots[fd].store(file_index,
-                                         std::memory_order_release);
+  // Release: a lock-free reader that observes the pointer also observes
+  // the fully initialized OpenFile.
+  table->slots[fd].store(file, std::memory_order_release);
   task.fd_next_hint = static_cast<int>(fd) + 1;
   return static_cast<int>(fd);
+}
+
+uint64_t Kernel::InstallFd(Task& task, OpenFile* file) {
+  Result<int> fd = [&] {
+    std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
+    return AllocateFdLocked(task, file);
+  }();
+  if (!fd.ok()) {
+    (void)ReleaseFile(file);
+    return kEMFile;
+  }
+  return static_cast<uint64_t>(*fd);
+}
+
+void Kernel::CloseAllFds(Task& task) {
+  std::vector<OpenFile*> open;
+  {
+    std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
+    FdTable* fdt = task.fds.load_plain();
+    for (uint64_t fd = 0; fdt != nullptr && fd < fdt->capacity; ++fd) {
+      if (OpenFile* file =
+              fdt->slots[fd].exchange(nullptr, std::memory_order_acq_rel)) {
+        open.push_back(file);
+      }
+    }
+    task.fd_next_hint = 0;
+  }
+  for (OpenFile* file : open) {
+    (void)ReleaseFile(file);
+  }
 }
 
 Result<OpenFile*> Kernel::FileForFd(Task& task, uint64_t fd) {
   // Lock-free fd resolution (docs/CONCURRENCY.md §5): the caller holds an
   // EpochGuard (HandleSyscall pins one around the whole syscall body), so
-  // every snapshot loaded here — the fd table, the open-file table, the
-  // OpenFile itself — outlives this lookup even when writers concurrently
-  // close the fd, grow the table, or retire the file. The acquire loads
-  // pair with the writers' release publishes; the bounds check below takes
-  // only metapool stripe locks (external classes, never kernel ranks).
+  // the fd table and the OpenFile loaded here outlive this lookup even when
+  // writers concurrently close the fd, grow the table, or retire the file.
+  // The acquire loads pair with the writers' release publishes; the bounds
+  // check below takes only metapool stripe locks (external classes, never
+  // kernel ranks).
   FdTable* table = task.fds.load_acquire();
   if (table == nullptr || fd >= table->capacity) {
     return SafetyViolation(StrCat("fd ", fd, " out of range"));
   }
   SVA_RETURN_IF_ERROR(FdSlotCheck(task, fd));
-  int index = table->slots[fd].load(std::memory_order_acquire);
-  OpenFileTable* tab = open_files_tab_.load(std::memory_order_acquire);
-  if (index < 0 || tab == nullptr ||
-      static_cast<uint64_t>(index) >= tab->capacity) {
-    return NotFound(StrCat("bad fd ", fd));
-  }
-  OpenFile* file = tab->entries[index].load(std::memory_order_acquire);
+  OpenFile* file = table->slots[fd].load(std::memory_order_acquire);
   if (file == nullptr) {
-    // Racing a close: the slot was read before the writer cleared it, the
-    // entry after. Either outcome of the race is a clean kEBadF or the old
-    // file — never a torn slot.
+    // Free, or racing a close: either outcome of the race is a clean
+    // kEBadF or the old file — never a torn slot.
     return NotFound(StrCat("bad fd ", fd));
   }
   return file;
 }
 
 Result<Inode*> Kernel::LookupInode(const std::string& name, bool create) {
-  auto it = namespace_.find(name);
-  if (it != namespace_.end()) {
-    return &inodes_[it->second];
+  DirIndex* index = dir_index_.load(std::memory_order_relaxed);
+  auto it = index->entries.find(name);
+  if (it != index->entries.end()) {
+    return it->second;
   }
   if (!create) {
     return NotFound(StrCat("no such file: ", name));
   }
   SVA_ASSIGN_OR_RETURN(uint64_t addr, allocators_->CacheAlloc(inode_cache_));
-  Inode inode;
-  inode.addr = addr;
-  inode.ino = next_ino_++;
-  inode.name = name;
-  int ino = inode.ino;
-  inodes_[ino] = std::move(inode);
-  namespace_[name] = ino;
+  auto* inode = new Inode;
+  inode->addr = addr;
+  inode->ino = next_ino_++;
   // Publish the new name to lock-free path resolution (SysStat, the SysOpen
   // fast path) before the creating syscall returns.
-  RepublishDirIndex();
-  return &inodes_[ino];
+  auto* fresh = new DirIndex(*index);
+  fresh->entries.emplace(name, inode);
+  PublishDirIndex(fresh);
+  return inode;
 }
 
-Status Kernel::ReleaseFile(int file_index) {
-  OpenFile* defunct = nullptr;
-  int defunct_net_sid = -1;
-  int defunct_pipe = -1;
-  int defunct_evq = -1;
-  int defunct_prof = -1;
-  {
-    std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
-    OpenFileTable* tab = open_files_tab_.load(std::memory_order_relaxed);
-    OpenFile* file =
-        tab->entries[static_cast<uint64_t>(file_index)].load(
-            std::memory_order_relaxed);
-    if (file == nullptr) {
-      return OkStatus();  // Already released (racing closes both got here).
-    }
-    if (--file->refs > 0) {
-      return OkStatus();
-    }
-    defunct_net_sid = file->net_socket_id;
-    defunct_pipe = file->pipe_id;
-    defunct_evq = file->evq_id;
-    defunct_prof = file->prof_id;
-    // Publish-then-retire: null the entry (release pairs with FileForFd's
-    // acquire) while the object is still intact, and free it only after a
-    // grace period — a lock-free reader that loaded the pointer just before
-    // the store finishes its read against live memory.
-    tab->entries[static_cast<uint64_t>(file_index)].store(
-        nullptr, std::memory_order_release);
-    defunct = file;
-  }
-  // Teardown outside files_lock_ (it is a leaf lock; the net stack, the
-  // allocators, and pipes_lock_/evq_lock_ — which rank ABOVE files_lock_ —
-  // take their own locks).
-  if (defunct_net_sid >= 0) {
-    // Close-while-registered: the socket silently leaves every event queue
-    // watching it, epoll-style, before the net stack reclaims the id.
-    DropSocketWatches(defunct_net_sid);
-    if (net_ != nullptr) {
-      SVA_RETURN_IF_ERROR(net_->Close(defunct_net_sid));
+bool Kernel::TryRefInode(Inode* inode) {
+  int refs = inode->refs.load(std::memory_order_relaxed);
+  while (refs > 0) {
+    if (inode->refs.compare_exchange_weak(refs, refs + 1,
+                                          std::memory_order_relaxed)) {
+      return true;
     }
   }
-  if (defunct_pipe >= 0) {
-    // The last end frees the pipe. The slot is reset under pipes_lock_,
-    // which every ring access holds, so a racing reader either finishes
-    // its copy first or finds the slot null; the ring and cache object can
-    // then be freed at once, without waiting out a grace period.
-    std::unique_ptr<Pipe> dead;
-    {
-      std::lock_guard<smp::OrderedSpinLock> guard(pipes_lock_);
-      std::unique_ptr<Pipe>& slot = pipes_[static_cast<size_t>(defunct_pipe)];
-      if (--slot->open_ends == 0) {
-        dead = std::move(slot);
-      }
-    }
-    if (dead != nullptr) {
-      SVA_RETURN_IF_ERROR(allocators_->Kfree(dead->buffer));
-      SVA_RETURN_IF_ERROR(allocators_->CacheFree(pipe_cache_, dead->addr));
-    }
+  return false;
+}
+
+void Kernel::UnrefInode(Inode* inode) {
+  if (inode->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+    return;
   }
-  if (defunct_evq >= 0) {
-    DestroyEvq(defunct_evq);
-  }
-  if (defunct_prof >= 0) {
-    DestroyProfSession(defunct_prof);
-  }
-  // The OpenFile itself (and its cache slot) waits out the grace period.
+  // Unreachable now: unlinked, and no OpenFile names it. A reader that
+  // loaded the pointer before the last unpublish is still pinned, so the
+  // blocks and the cache object wait out the grace period.
   KernelAllocators* allocators = allocators_.get();
   smp::EpochDomain::Global().Retire(
-      [allocators, cache = file_cache_, defunct] {
-        (void)allocators->CacheFree(cache, defunct->addr);
-        delete defunct;
+      [allocators, cache = inode_cache_, inode] {
+        for (uint64_t block : inode->blocks) {
+          (void)allocators->Kfree(block);
+        }
+        (void)allocators->CacheFree(cache, inode->addr);
+        delete inode;
       });
-  return OkStatus();
+}
+
+void Kernel::ReleasePipeEnd(Pipe* pipe) {
+  if (pipe->open_ends.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+    return;
+  }
+  // Both ends are gone, but a read or write that resolved its fd before
+  // the close may still hold the pipe's lock: the ring, the cache object
+  // and the Pipe wait out the grace period.
+  KernelAllocators* allocators = allocators_.get();
+  smp::EpochDomain::Global().Retire(
+      [allocators, cache = pipe_cache_, pipe] {
+        (void)allocators->Kfree(pipe->buffer);
+        (void)allocators->CacheFree(cache, pipe->addr);
+        delete pipe;
+      });
+}
+
+Status Kernel::ReleaseFile(OpenFile* file) {
+  if (file->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+    return OkStatus();
+  }
+  // The last slot holding the file is already unpublished (release pairs
+  // with FileForFd's acquire); tear down what it names with no kernel lock
+  // held — the net stack, the allocators and evq_lock_ take their own.
+  Status status = OkStatus();
+  if (file->net_socket_id >= 0) {
+    // Close-while-registered: the socket silently leaves every event queue
+    // watching it, epoll-style, before the net stack reclaims the id.
+    DropSocketWatches(file->net_socket_id);
+    if (net_ != nullptr) {
+      status = net_->Close(file->net_socket_id);
+    }
+  }
+  if (file->inode != nullptr) {
+    UnrefInode(file->inode);
+  }
+  if (file->pipe != nullptr) {
+    ReleasePipeEnd(file->pipe);
+  }
+  if (file->evq_id >= 0) {
+    DestroyEvq(file->evq_id);
+  }
+  if (file->prof_id >= 0) {
+    DestroyProfSession(file->prof_id);
+  }
+  // The OpenFile itself (and its cache slot) waits out the grace period: a
+  // lock-free reader that loaded the pointer just before the unpublish
+  // finishes its read against live memory.
+  KernelAllocators* allocators = allocators_.get();
+  smp::EpochDomain::Global().Retire(
+      [allocators, cache = file_cache_, file] {
+        (void)allocators->CacheFree(cache, file->addr);
+        delete file;
+      });
+  return status;
 }
 
 // --- Syscalls ----------------------------------------------------------------------
@@ -1082,67 +1081,67 @@ Result<uint64_t> Kernel::SysOpen(uint64_t path_uaddr, uint64_t flags) {
   // Fast path: resolve existing names against the epoch-published directory
   // index with no vfs_lock_ (docs/CONCURRENCY.md §5). The Inode pointer is
   // safe to dereference because this syscall's EpochGuard pins the epoch a
-  // concurrent unlink would have to wait out before freeing the node.
-  int ino = -1;
+  // concurrent unlink would have to wait out before freeing it; the new
+  // file's reference is taken only while the inode still has one.
+  Inode* inode = nullptr;
   if (const DirIndex* index = dir_index_.load(std::memory_order_acquire)) {
     auto hit = index->entries.find(path);
-    if (hit != index->entries.end()) {
-      ino = hit->second->ino;
+    if (hit != index->entries.end() && TryRefInode(hit->second)) {
+      inode = hit->second;
     }
   }
-  if (ino < 0) {
+  if (inode == nullptr) {
     if ((flags & 1) == 0) {
       return kENoEnt;
     }
     // Creation is the slow path: vfs_lock_ serializes writers, and
-    // LookupInode republishes the index before the lock drops.
+    // LookupInode republishes the index before the lock drops. A linked
+    // inode keeps its namespace reference while vfs_lock_ is held, so the
+    // plain increment cannot revive a dying one.
     trace::TimedLockGuard<smp::OrderedSpinLock> guard(
         vfs_lock_, trace::HistId::kVfsWaitNs, trace::kLockVfs);
-    auto inode = LookupInode(path, true);
-    if (!inode.ok()) {
+    auto found = LookupInode(path, true);
+    if (!found.ok()) {
       return kENoEnt;
     }
-    ino = (*inode)->ino;
+    inode = *found;
+    inode->refs.fetch_add(1, std::memory_order_relaxed);
   }
-  SVA_ASSIGN_OR_RETURN(uint64_t addr, allocators_->CacheAlloc(file_cache_));
-  auto file = std::make_unique<OpenFile>();
-  file->addr = addr;
-  file->refs = 1;
-  file->ino = ino;
-  auto fd = AllocateFd(task, AddOpenFile(std::move(file)));
-  if (!fd.ok()) {
-    return kEMFile;
+  auto addr = allocators_->CacheAlloc(file_cache_);
+  if (!addr.ok()) {
+    UnrefInode(inode);
+    return addr.status();
   }
-  return static_cast<uint64_t>(*fd);
+  auto* file = new OpenFile;
+  file->addr = *addr;
+  file->inode = inode;
+  return InstallFd(task, file);
 }
 
 Result<uint64_t> Kernel::SysClose(uint64_t fd) {
   Task& task = *current_task();
-  auto file = FileForFd(task, fd);
-  if (!file.ok()) {
-    return kEBadF;
-  }
-  int index;
+  OpenFile* file;
   {
     std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
-    // Re-read under the lock: the lock-free validation above may have raced
-    // another close of the same fd. A slot already cleared means the other
-    // close won — report kEBadF rather than double-releasing the file.
+    // Validate and clear under one hold: of two racing closes of the same
+    // fd, the one that finds the slot already cleared reports kEBadF
+    // rather than double-releasing the file.
     FdTable* fdt = task.fds.load_plain();
-    index = fd < fdt->capacity
-                ? fdt->slots[fd].load(std::memory_order_relaxed)
-                : -1;
-    if (index < 0) {
+    if (fd >= fdt->capacity || !FdSlotCheck(task, fd).ok()) {
+      return kEBadF;
+    }
+    file = fdt->slots[fd].load(std::memory_order_relaxed);
+    if (file == nullptr) {
       return kEBadF;
     }
     // Unpublish the slot (release) BEFORE ReleaseFile retires the object:
-    // a concurrent lock-free read sees either the old index (and a file
-    // kept alive by the grace period) or -1 — never a torn slot.
-    fdt->slots[fd].store(-1, std::memory_order_release);
+    // a concurrent lock-free read sees either the old file (kept alive by
+    // the grace period) or null — never a torn slot.
+    fdt->slots[fd].store(nullptr, std::memory_order_release);
     task.fd_next_hint =
         std::min(task.fd_next_hint, static_cast<int>(fd));
   }
-  SVA_RETURN_IF_ERROR(ReleaseFile(index));
+  SVA_RETURN_IF_ERROR(ReleaseFile(file));
   trace::Emit(trace::EventId::kConnClose, fd);
   return uint64_t{0};
 }
@@ -1157,27 +1156,27 @@ Result<uint64_t> Kernel::SysRead(uint64_t fd, uint64_t uaddr, uint64_t len) {
 
   // One resolve serves every fd kind; no lock is held yet, so each backend
   // takes its own lock clean, not nested.
-  if (file->pipe_id >= 0) {
+  if (file->pipe != nullptr) {
     return PipeRead(task, *file, uaddr, len);
   }
   if (file->net_socket_id >= 0) {
     return NetRecv(task, file->net_socket_id, uaddr, len);
   }
-  if (file->ino < 0) {
+  if (file->inode == nullptr) {
     return kEBadF;
   }
-  // Regular-file read: inode data, size, and the fd offset live under
-  // vfs_lock_. The copy loops below take only external lock classes
-  // (metapool stripes, allocator locks), which rank below every kernel
-  // lock.
-  trace::TimedLockGuard<smp::OrderedSpinLock> vfs_guard(
-      vfs_lock_, trace::HistId::kVfsWaitNs, trace::kLockVfs);
-  Inode& inode = inodes_[file->ino];
+  Inode& inode = *file->inode;
   if (inode.ino == 0) {
     return uint64_t{0};  // /dev/null reads EOF.
   }
-  // Offset and size go through atomic_ref: both are written under vfs_lock_
-  // but read lock-free elsewhere (SEEK_CUR lseek, SysStat).
+  // Regular-file read: inode data, size, and the fd offset live under the
+  // inode's own lock. The copy loops below take only external lock classes
+  // (metapool stripes, allocator locks), which rank below every kernel
+  // lock.
+  trace::TimedLockGuard<smp::OrderedSpinLock> inode_guard(
+      inode.lock, trace::HistId::kVfsWaitNs, trace::kLockVfs);
+  // Offset and size go through atomic_ref: both are written under the
+  // inode lock but read lock-free elsewhere (SEEK_CUR lseek, SysStat).
   std::atomic_ref<uint64_t> offset_ref(file->offset);
   uint64_t offset = offset_ref.load(std::memory_order_relaxed);
   uint64_t size =
@@ -1217,23 +1216,23 @@ Result<uint64_t> Kernel::SysWrite(uint64_t fd, uint64_t uaddr, uint64_t len) {
   }
   OpenFile* file = *file_r;
 
-  if (file->pipe_id >= 0) {
+  if (file->pipe != nullptr) {
     return PipeWrite(task, *file, uaddr, len);
   }
   if (file->net_socket_id >= 0) {
     return NetSend(task, file->net_socket_id, uaddr, len, /*dest=*/0);
   }
-  if (file->ino < 0) {
+  if (file->inode == nullptr) {
     return kEBadF;
   }
-  trace::TimedLockGuard<smp::OrderedSpinLock> vfs_guard(
-      vfs_lock_, trace::HistId::kVfsWaitNs, trace::kLockVfs);
-  Inode& inode = inodes_[file->ino];
+  Inode& inode = *file->inode;
   if (inode.ino == 0) {
     // /dev/null: validate the user range, drop the data.
     SVA_RETURN_IF_ERROR(CheckUserRange(task, uaddr, len));
     return len;
   }
+  trace::TimedLockGuard<smp::OrderedSpinLock> inode_guard(
+      inode.lock, trace::HistId::kVfsWaitNs, trace::kLockVfs);
   // SVA-safe: like the read path, the write loop's indices are monotonic,
   // so the checks hoist: one user-range check for the span (the first block
   // may not exist yet, so its check happens on allocation registration).
@@ -1273,19 +1272,19 @@ Result<uint64_t> Kernel::SysLseek(uint64_t fd, uint64_t offset,
     return kEBadF;
   }
   OpenFile* file = *file_r;
-  if (file->ino < 0) {
+  if (file->inode == nullptr) {
     return kEInval;
   }
   std::atomic_ref<uint64_t> offset_ref(file->offset);
   if (whence == 1 && offset == 0) {
-    // lseek(fd, 0, SEEK_CUR) is a pure read: one acquire load, no
-    // vfs_lock_. The read-mostly bench phase and the epoch torture test
-    // lean on this path staying lock-free.
+    // lseek(fd, 0, SEEK_CUR) is a pure read: one acquire load, no lock.
+    // The read-mostly bench phase and the epoch torture test lean on this
+    // path staying lock-free.
     return offset_ref.load(std::memory_order_acquire);
   }
-  trace::TimedLockGuard<smp::OrderedSpinLock> vfs_guard(
-      vfs_lock_, trace::HistId::kVfsWaitNs, trace::kLockVfs);
-  Inode& inode = inodes_[file->ino];
+  Inode& inode = *file->inode;
+  trace::TimedLockGuard<smp::OrderedSpinLock> inode_guard(
+      inode.lock, trace::HistId::kVfsWaitNs, trace::kLockVfs);
   uint64_t next;
   switch (whence) {
     case 0:
@@ -1346,37 +1345,25 @@ Result<uint64_t> Kernel::SysUnlink(uint64_t path_uaddr) {
     path.push_back(static_cast<char>(*c));
   }
   SVA_RETURN_IF_ERROR(allocators_->Kfree(path_buf));
-  trace::TimedLockGuard<smp::OrderedSpinLock> vfs_guard(
-      vfs_lock_, trace::HistId::kVfsWaitNs, trace::kLockVfs);
-  auto it = namespace_.find(path);
-  if (it == namespace_.end() || it->second == 0) {
-    return kENoEnt;
+  Inode* inode;
+  {
+    trace::TimedLockGuard<smp::OrderedSpinLock> vfs_guard(
+        vfs_lock_, trace::HistId::kVfsWaitNs, trace::kLockVfs);
+    DirIndex* index = dir_index_.load(std::memory_order_relaxed);
+    auto it = index->entries.find(path);
+    if (it == index->entries.end() || it->second->ino == 0) {
+      return kENoEnt;
+    }
+    inode = it->second;
+    // Publish-then-retire (docs/CONCURRENCY.md §5): publish the directory
+    // index WITHOUT the entry, then drop the entry's inode reference. A
+    // SysStat pinned on the outgoing snapshot finishes its size load
+    // against intact memory, and fds still open on the file keep it alive.
+    auto* fresh = new DirIndex(*index);
+    fresh->entries.erase(path);
+    PublishDirIndex(fresh);
   }
-  auto inode_it = inodes_.find(it->second);
-  if (inode_it == inodes_.end()) {
-    return kENoEnt;
-  }
-  // Publish-then-retire (docs/CONCURRENCY.md §5): extract the map node (the
-  // Inode pointer stays stable inside it), drop the name, republish the
-  // directory index WITHOUT the entry — then hand the node and its data
-  // blocks to the epoch machinery. A SysStat pinned on the outgoing index
-  // snapshot finishes its size load against intact memory; the frees run
-  // only after that reader's grace period ends. (shared_ptr because
-  // std::function requires a copyable callable; the node itself is
-  // move-only.)
-  auto holder = std::make_shared<std::map<int, Inode>::node_type>(
-      inodes_.extract(inode_it));
-  namespace_.erase(it);
-  RepublishDirIndex();
-  KernelAllocators* allocators = allocators_.get();
-  smp::EpochDomain::Global().Retire(
-      [allocators, cache = inode_cache_, holder] {
-        Inode& dead = holder->mapped();
-        for (uint64_t block : dead.blocks) {
-          (void)allocators->Kfree(block);
-        }
-        (void)allocators->CacheFree(cache, dead.addr);
-      });
+  UnrefInode(inode);
   return uint64_t{0};
 }
 
@@ -1385,32 +1372,32 @@ Result<uint64_t> Kernel::SysPipe(uint64_t uaddr_out) {
   SVA_ASSIGN_OR_RETURN(uint64_t pipe_addr,
                        allocators_->CacheAlloc(pipe_cache_));
   SVA_ASSIGN_OR_RETURN(uint64_t buffer, allocators_->Kmalloc(kPipeCapacity));
-  auto pipe = std::make_unique<Pipe>();
+  // The pipe is reachable only through its two OpenFiles.
+  auto* pipe = new Pipe;
   pipe->addr = pipe_addr;
   pipe->buffer = buffer;
-  int pipe_id;
-  {
-    // SysPipe runs concurrently with other syscalls, so the vector growth
-    // itself needs the lock (concurrent readers index pipes_ under it; Pipe
-    // nodes are stable).
-    std::lock_guard<smp::OrderedSpinLock> guard(pipes_lock_);
-    pipes_.push_back(std::move(pipe));
-    pipe_id = static_cast<int>(pipes_.size() - 1);
-  }
 
-  int fds[2] = {-1, -1};
+  uint64_t fds[2] = {0, 0};
   for (int end = 0; end < 2; ++end) {
-    SVA_ASSIGN_OR_RETURN(uint64_t addr, allocators_->CacheAlloc(file_cache_));
-    auto file = std::make_unique<OpenFile>();
-    file->addr = addr;
-    file->refs = 1;
-    file->pipe_id = pipe_id;
+    auto addr = allocators_->CacheAlloc(file_cache_);
+    if (!addr.ok()) {
+      // Drop the ends no OpenFile owns yet.
+      for (int unowned = end; unowned < 2; ++unowned) {
+        ReleasePipeEnd(pipe);
+      }
+      return addr.status();
+    }
+    auto* file = new OpenFile;
+    file->addr = *addr;
+    file->pipe = pipe;
     file->pipe_read_end = end == 0;
-    auto fd = AllocateFd(task, AddOpenFile(std::move(file)));
-    if (!fd.ok()) {
+    fds[end] = InstallFd(task, file);
+    if (fds[end] == kEMFile) {
+      if (end == 0) {
+        ReleasePipeEnd(pipe);  // The write end never got an OpenFile.
+      }
       return kEMFile;
     }
-    fds[end] = *fd;
   }
   uint32_t out[2] = {static_cast<uint32_t>(fds[0]),
                      static_cast<uint32_t>(fds[1])};
@@ -1428,13 +1415,9 @@ Result<uint64_t> Kernel::PipeRead(Task& task, const OpenFile& file,
   if (!file.pipe_read_end) {
     return kEInval;
   }
+  Pipe& pipe = *file.pipe;
   trace::TimedLockGuard<smp::OrderedSpinLock> guard(
-      pipes_lock_, trace::HistId::kPipesWaitNs, trace::kLockPipes);
-  Pipe* live = pipes_[static_cast<size_t>(file.pipe_id)].get();
-  if (live == nullptr) {
-    return kEBadF;  // Both ends were released while this read resolved.
-  }
-  Pipe& pipe = *live;
+      pipe.lock, trace::HistId::kPipesWaitNs, trace::kLockPipes);
   uint64_t to_read = std::min(len, pipe.count);
   uint64_t done = 0;
   while (done < to_read) {
@@ -1457,13 +1440,9 @@ Result<uint64_t> Kernel::PipeWrite(Task& task, const OpenFile& file,
   if (file.pipe_read_end) {
     return kEInval;
   }
+  Pipe& pipe = *file.pipe;
   trace::TimedLockGuard<smp::OrderedSpinLock> guard(
-      pipes_lock_, trace::HistId::kPipesWaitNs, trace::kLockPipes);
-  Pipe* live = pipes_[static_cast<size_t>(file.pipe_id)].get();
-  if (live == nullptr) {
-    return kEBadF;
-  }
-  Pipe& pipe = *live;
+      pipe.lock, trace::HistId::kPipesWaitNs, trace::kLockPipes);
   uint64_t space = kPipeCapacity - pipe.count;
   uint64_t to_write = std::min(len, space);
   uint64_t done = 0;
@@ -1520,8 +1499,7 @@ Result<uint64_t> Kernel::SysSigaction(uint64_t sig, uint64_t handler) {
   }
   Task& task = *current_task();
   SVA_RETURN_IF_ERROR(
-      BoundsCheckObject(allocators_->PoolForCache(task_cache_), task.addr,
-                        task.addr + 96 + sig));
+      BoundsCheckObject(task_pool_, task.addr, task.addr + 96 + sig));
   std::atomic_ref<uint64_t>(task.sigactions[sig].handler)
       .store(handler, std::memory_order_release);
   return uint64_t{0};
@@ -1568,17 +1546,14 @@ Status Kernel::BuildForkChild(Task& parent, Task& child) {
     FdTable* parent_fdt = parent.fds.load_plain();
     SVA_RETURN_IF_ERROR(EnsureFdCapacity(child, parent_fdt->capacity));
     FdTable* child_fdt = child.fds.load_plain();
-    OpenFileTable* tab = open_files_tab_.load(std::memory_order_relaxed);
     for (uint64_t fd = 0; fd < parent_fdt->capacity; ++fd) {
-      int index = parent_fdt->slots[fd].load(std::memory_order_relaxed);
-      child_fdt->slots[fd].store(index, std::memory_order_release);
-      if (index >= 0 && tab != nullptr) {
-        OpenFile* file =
-            tab->entries[index].load(std::memory_order_relaxed);
-        if (file != nullptr) {
-          ++file->refs;
-        }
+      OpenFile* file = parent_fdt->slots[fd].load(std::memory_order_relaxed);
+      if (file != nullptr) {
+        // The parent's slot holds a reference and cannot be cleared while
+        // files_lock_ is held, so the count is >= 1 here.
+        file->refs.fetch_add(1, std::memory_order_relaxed);
       }
+      child_fdt->slots[fd].store(file, std::memory_order_release);
     }
     child.fd_next_hint = parent.fd_next_hint;
   }
@@ -1618,19 +1593,7 @@ Status Kernel::BuildForkChild(Task& parent, Task& child) {
 }
 
 void Kernel::DiscardTask(int pid) {
-  Task* task = FindTask(pid);
-  FdTable* fdt = task->fds.load_plain();
-  for (uint64_t fd = 0; fd < fdt->capacity; ++fd) {
-    int index;
-    {
-      std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
-      index = fdt->slots[fd].load(std::memory_order_relaxed);
-      fdt->slots[fd].store(-1, std::memory_order_release);
-    }
-    if (index >= 0) {
-      (void)ReleaseFile(index);
-    }
-  }
+  CloseAllFds(*FindTask(pid));
   std::map<int, Task>::node_type node;
   {
     std::lock_guard<smp::OrderedSpinLock> guard(tasks_lock_);
@@ -1665,28 +1628,7 @@ Result<uint64_t> Kernel::SysExecve(uint64_t path_uaddr) {
 Result<uint64_t> Kernel::SysExit(uint64_t code) {
   (void)code;
   Task& task = *current_task();
-  FdTable* fdt = task.fds.load_plain();
-  for (uint64_t fd = 0; fd < fdt->capacity; ++fd) {
-    int index;
-    {
-      std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
-      index = fdt->slots[fd].load(std::memory_order_relaxed);
-      fdt->slots[fd].store(-1, std::memory_order_release);
-      if (index < 0) {
-        continue;
-      }
-      OpenFileTable* tab = open_files_tab_.load(std::memory_order_relaxed);
-      if (tab == nullptr ||
-          tab->entries[index].load(std::memory_order_relaxed) == nullptr) {
-        continue;
-      }
-    }
-    SVA_RETURN_IF_ERROR(ReleaseFile(index));
-  }
-  {
-    std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
-    task.fd_next_hint = 0;
-  }
+  CloseAllFds(task);
   {
     // Lifecycle flip + parent lookup under one tasks_lock_ hold, so a
     // concurrent waitpid sees the zombie and the parent link consistently.
@@ -1773,33 +1715,23 @@ Status Kernel::ReapTask(std::map<int, Task>::node_type node) {
 
 Result<uint64_t> Kernel::SysDup(uint64_t fd) {
   Task& task = *current_task();
-  auto file_r = FileForFd(task, fd);
-  if (!file_r.ok()) {
+  std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
+  // Resolve, bump and install under one hold: the slot cannot be cleared
+  // meanwhile, so its reference keeps the count >= 1 and the bump never
+  // resurrects a file that is already retiring (the close-during-dup
+  // regression test pins exactly this interleaving).
+  FdTable* fdt = task.fds.load_plain();
+  if (fd >= fdt->capacity || !FdSlotCheck(task, fd).ok()) {
     return kEBadF;
   }
-  int index;
-  {
-    std::lock_guard<smp::OrderedSpinLock> guard(files_lock_);
-    // Re-read under the lock: the lock-free validation above may have raced
-    // a close of the same fd. Bumping refs through a stale index would
-    // resurrect a file that is already retiring (the close-during-dup
-    // regression test pins exactly this interleaving).
-    FdTable* fdt = task.fds.load_plain();
-    index = fd < fdt->capacity
-                ? fdt->slots[fd].load(std::memory_order_relaxed)
-                : -1;
-    if (index < 0) {
-      return kEBadF;
-    }
-    OpenFileTable* tab = open_files_tab_.load(std::memory_order_relaxed);
-    OpenFile* file = tab->entries[index].load(std::memory_order_relaxed);
-    if (file == nullptr) {
-      return kEBadF;
-    }
-    ++file->refs;
+  OpenFile* file = fdt->slots[fd].load(std::memory_order_relaxed);
+  if (file == nullptr) {
+    return kEBadF;
   }
-  auto new_fd = AllocateFd(task, index);
+  file->refs.fetch_add(1, std::memory_order_relaxed);
+  auto new_fd = AllocateFdLocked(task, file);
   if (!new_fd.ok()) {
+    file->refs.fetch_sub(1, std::memory_order_relaxed);
     return kEMFile;
   }
   return static_cast<uint64_t>(*new_fd);
@@ -1810,7 +1742,6 @@ Result<uint64_t> Kernel::SysSocket(uint64_t domain) {
   SVA_ASSIGN_OR_RETURN(uint64_t addr, allocators_->CacheAlloc(file_cache_));
   auto file = std::make_unique<OpenFile>();
   file->addr = addr;
-  file->refs = 1;
 
   switch (static_cast<SocketDomain>(domain)) {
     case SocketDomain::kDatagram:
@@ -1831,11 +1762,7 @@ Result<uint64_t> Kernel::SysSocket(uint64_t domain) {
       return kEInval;
   }
 
-  auto fd = AllocateFd(task, AddOpenFile(std::move(file)));
-  if (!fd.ok()) {
-    return kEMFile;
-  }
-  return static_cast<uint64_t>(*fd);
+  return InstallFd(task, file.release());
 }
 
 // --- Net-stack syscalls ---------------------------------------------------------
@@ -1913,17 +1840,15 @@ Result<uint64_t> Kernel::SysNetAccept(uint64_t fd) {
     (void)net_->Close(*conn);
     return addr.status();
   }
-  auto file = std::make_unique<OpenFile>();
+  auto* file = new OpenFile;
   file->addr = *addr;
-  file->refs = 1;
   file->net_socket_id = *conn;
-  auto new_fd = AllocateFd(*task, AddOpenFile(std::move(file)));
-  if (!new_fd.ok()) {
+  const uint64_t new_fd = InstallFd(*task, file);
+  if (new_fd == kEMFile) {
     return kEMFile;
   }
-  trace::Emit(trace::EventId::kConnAccept, static_cast<uint64_t>(*new_fd),
-              fd);
-  return static_cast<uint64_t>(*new_fd);
+  trace::Emit(trace::EventId::kConnAccept, new_fd, fd);
+  return new_fd;
 }
 
 Result<uint64_t> Kernel::SysNetSend(uint64_t fd, uint64_t uaddr, uint64_t len,

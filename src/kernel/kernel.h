@@ -120,20 +120,22 @@ struct SigAction {
   uint64_t handler = 0;
 };
 
-// The epoch-published fd table: a fixed-capacity array of atomic open-file
-// indices (-1 = free). Readers resolve fd -> index lock-free under an
+struct OpenFile;
+
+// The epoch-published fd table: a fixed-capacity array of atomic OpenFile
+// pointers (null = free). Readers resolve fd -> file lock-free under an
 // EpochGuard; writers (who hold files_lock_) mutate slots in place and
 // grow by publishing a copy, retiring the old table through the epoch
 // machinery. See docs/CONCURRENCY.md §5.
 struct FdTable {
   explicit FdTable(uint64_t cap)
-      : capacity(cap), slots(new std::atomic<int>[cap]) {
+      : capacity(cap), slots(new std::atomic<OpenFile*>[cap]) {
     for (uint64_t i = 0; i < cap; ++i) {
-      slots[i].store(-1, std::memory_order_relaxed);
+      slots[i].store(nullptr, std::memory_order_relaxed);
     }
   }
   const uint64_t capacity;
-  std::unique_ptr<std::atomic<int>[]> slots;
+  std::unique_ptr<std::atomic<OpenFile*>[]> slots;
 };
 
 // Movable holder for a task's FdTable pointer. Task must stay movable (it
@@ -187,7 +189,7 @@ struct Task {
   bool zombie = false;
   bool alive = false;
   uint64_t brk = 0;
-  // Open-file table indices; -1 = free. The first max_fds slots live inside
+  // Open files by fd; null = free. The first max_fds slots live inside
   // the task-cache object (the object size scales with max_fds); growth past
   // that moves the modeled array to a kmalloc'd block (fd_block), the Linux
   // files_struct/fdtable expansion scheme. Epoch-published: readers resolve
@@ -212,57 +214,64 @@ struct Task {
   uint64_t signals_delivered = 0;
 };
 
-struct Inode {
+// A ramfs file. It is owned by references: one for its directory entry
+// and one per OpenFile naming it. Whoever drops the last one retires the
+// inode (its blocks and cache object are freed past a grace period), so an
+// unlinked file stays readable and writable through the fds opened before
+// the unlink, and a reader pinned by its syscall's EpochGuard finishes
+// against intact memory.
+//
+// Inode and Pipe are cache-line aligned, like the kernel caches they model
+// (SLAB_HWCACHE_ALIGN): their locks are written on every data-path call,
+// and two CPUs working on neighbouring objects must not bounce one line
+// between them. OpenFile is not: open allocates one per call, and an
+// over-aligned allocation costs more than the line it would save.
+struct alignas(smp::kCacheLineBytes) Inode {
   uint64_t addr = 0;  // Inode cache object address.
-  int ino = 0;
-  std::string name;
+  int ino = 0;        // 0 is /dev/null.
+  // Guards blocks, size stores and the offsets of the OpenFiles on this
+  // inode: regular-file read, write and lseek take this lock and no other
+  // kernel lock, so two CPUs on different files share none.
+  mutable smp::OrderedSpinLock lock{smp::LockRank::kInode};
   std::vector<uint64_t> blocks;  // kmalloc'd data blocks.
+  // Accessed via std::atomic_ref: stored under `lock`, read lock-free by
+  // stat.
   uint64_t size = 0;
-  int nlink = 1;
+  std::atomic<int> refs{1};
 };
 
-struct Pipe {
+struct alignas(smp::kCacheLineBytes) Pipe {
   uint64_t addr = 0;      // Pipe cache object address.
   uint64_t buffer = 0;    // kmalloc'd ring buffer.
+  // Guards the ring state below; pipe read and write take this lock and
+  // no other kernel lock.
+  mutable smp::OrderedSpinLock lock{smp::LockRank::kPipes};
   uint64_t rpos = 0;
   uint64_t wpos = 0;
   uint64_t count = 0;
-  // Ends whose OpenFile is still live (2 at creation). ReleaseFile frees
-  // the pipe when the last one goes.
-  int open_ends = 2;
+  // OpenFiles naming an end (2 at creation). The last one released
+  // retires the pipe past a grace period, so a read or write that resolved
+  // its fd before the close finishes against live memory.
+  std::atomic<int> open_ends{2};
 };
 
 struct OpenFile {
   uint64_t addr = 0;  // File cache object address.
-  // Guarded by files_lock_ (writers only — lock-free readers never read
-  // refcounts; liveness comes from the epoch grace period instead).
-  int refs = 0;
-  int ino = -1;        // Ramfs inode, or
-  int pipe_id = -1;    // pipe (with end), or
+  // fd slots holding this file, in any task. dup and fork bump it under
+  // files_lock_, finding the file in a slot that still holds a reference,
+  // so it never rises from 0; ReleaseFile drops it without a lock, and the
+  // drop to 0 tears the file down. Lock-free readers never read it:
+  // liveness comes from the epoch grace period instead.
+  std::atomic<int> refs{1};
+  Inode* inode = nullptr;  // A ramfs file (holding one Inode::refs), or
+  Pipe* pipe = nullptr;    // one end of a pipe, or
   bool pipe_read_end = false;
   int net_socket_id = -1;  // a socket in the net stack (src/net), or
   int evq_id = -1;         // an event queue (kEvqCreate), or
   int prof_id = -1;        // a profiling session (kProfStart).
-  // Accessed via std::atomic_ref: mutated under the backing subsystem's
-  // lock (vfs_lock_ for regular files), read lock-free by the
-  // lseek(fd, 0, SEEK_CUR) fast path.
+  // Accessed via std::atomic_ref: mutated under the inode's lock, read
+  // lock-free by the lseek(fd, 0, SEEK_CUR) fast path.
   uint64_t offset = 0;
-};
-
-// The epoch-published open-file table: a fixed-capacity array of atomic
-// OpenFile pointers. Indices are append-only and never reused (ABA-free by
-// construction); a closed file's entry is nulled (release) and the object
-// retired. Readers index it lock-free under an EpochGuard; AddOpenFile
-// grows it copy-on-update under files_lock_.
-struct OpenFileTable {
-  explicit OpenFileTable(uint64_t cap)
-      : capacity(cap), entries(new std::atomic<OpenFile*>[cap]) {
-    for (uint64_t i = 0; i < cap; ++i) {
-      entries[i].store(nullptr, std::memory_order_relaxed);
-    }
-  }
-  const uint64_t capacity;
-  std::unique_ptr<std::atomic<OpenFile*>[]> entries;
 };
 
 // One perf_event-style self-profiling session (kProfStart). The fd is the
@@ -351,13 +360,13 @@ class Kernel {
 
   // The user-program entry point: traps into the kernel through the path
   // selected by the configuration and takes no lock itself. Safe to call
-  // from multiple worker threads: each handler takes its subsystem's leaf
-  // lock (vfs_lock_, tasks_lock_, pipes_lock_, evq_lock_, or the net
-  // stack's own locks) where it touches that state; fd -> file resolution
-  // and ramfs path lookup are LOCK-FREE under an epoch guard (files_lock_
-  // and vfs_lock_ are writer-only). Unknown numbers touch no state and
-  // return NotFound. See docs/CONCURRENCY.md for the hierarchy and §5 for
-  // the epoch contract.
+  // from multiple worker threads: each handler takes the lock of the
+  // object or subsystem it touches (an inode's or a pipe's own lock,
+  // vfs_lock_ for namespace changes, tasks_lock_, evq_lock_, or the net
+  // stack's own locks); fd -> file resolution and ramfs path lookup are
+  // LOCK-FREE under an epoch guard (files_lock_ and vfs_lock_ are
+  // writer-only). Unknown numbers touch no state and return NotFound. See
+  // docs/CONCURRENCY.md for the hierarchy and §5 for the epoch contract.
   Result<uint64_t> Syscall(Sys number, uint64_t a0 = 0, uint64_t a1 = 0,
                            uint64_t a2 = 0, uint64_t a3 = 0);
 
@@ -454,7 +463,7 @@ class Kernel {
   Result<uint64_t> SysUnlink(uint64_t path_uaddr);
   Result<uint64_t> SysPipe(uint64_t uaddr_out);
   // Pipe read/write backends for SysRead/SysWrite on an already resolved
-  // pipe fd (under pipes_lock_). kEBadF once the pipe is gone.
+  // pipe fd (under the pipe's own lock).
   Result<uint64_t> PipeRead(Task& task, const OpenFile& file, uint64_t uaddr,
                             uint64_t len);
   Result<uint64_t> PipeWrite(Task& task, const OpenFile& file, uint64_t uaddr,
@@ -514,10 +523,16 @@ class Kernel {
   // -1 (called by handlers, under HandleSyscall's epoch guard).
   int NetSocketIdForFd(uint64_t fd);
   int EvqIdForFd(uint64_t fd);
-  // Appends to the open-file table under files_lock_; returns the index.
-  // Grows the table copy-on-update (publish new, epoch-retire old).
-  int AddOpenFile(std::unique_ptr<OpenFile> file);
-  Result<int> AllocateFd(Task& task, int file_index);
+  // Gives `file` (one reference, not yet in any slot) the task's lowest
+  // free fd under one files_lock_ hold and returns the fd. On failure the
+  // file is released and the result is kEMFile.
+  uint64_t InstallFd(Task& task, OpenFile* file);
+  // Stores `file` in the lowest free slot, growing the table if it is
+  // full. Caller holds files_lock_.
+  Result<int> AllocateFdLocked(Task& task, OpenFile* file);
+  // Unpublishes every slot of `task` under one files_lock_ hold and
+  // releases the files they held.
+  void CloseAllFds(Task& task);
   // Doubles the task's fd table toward KernelConfig::max_fds_limit, moving
   // the modeled array to a (new) kmalloc block. Caller holds files_lock_.
   Status GrowFdTable(Task& task);
@@ -532,11 +547,20 @@ class Kernel {
   // use the returned pointer only while it is held; never takes
   // files_lock_.
   Result<OpenFile*> FileForFd(Task& task, uint64_t fd);
+  // The inode linked at `name`, created (and published) if absent and
+  // `create`. Caller holds vfs_lock_.
   Result<Inode*> LookupInode(const std::string& name, bool create);
-  // Drops one reference; the last one unpublishes and retires the file and
-  // tears down what it names (net socket, event queue, profiling session,
-  // or its end of a pipe).
-  Status ReleaseFile(int file_index);
+  // Takes an OpenFile's reference on an inode found lock-free in the
+  // directory index; false if the inode already lost its last reference.
+  static bool TryRefInode(Inode* inode);
+  // Drop one reference; the last one retires the inode (or pipe).
+  void UnrefInode(Inode* inode);
+  void ReleasePipeEnd(Pipe* pipe);
+  // Drops one reference of a file already unpublished from the slot that
+  // held it; the last one retires the file and tears down what it names
+  // (net socket, event queue, profiling session, inode reference, or its
+  // end of a pipe).
+  Status ReleaseFile(OpenFile* file);
   Result<int> CreateTask(int parent_pid);
   // SysFork's body past CreateTask: fd table, dispositions, address space
   // and CPU state of the parent copied into `child`.
@@ -564,29 +588,30 @@ class Kernel {
   // builds by smp::LockOrderChecker). Rank order — a thread may only
   // acquire downward in this list, never upward:
   //
-  //   vfs_lock_ -> tasks_lock_ -> pipes_lock_ -> evq_lock_
+  //   vfs_lock_ -> Inode::lock -> tasks_lock_ -> Pipe::lock -> evq_lock_
   //             -> files_lock_ -> address-space locks (src/mm)
   //
+  // Inode::lock and Pipe::lock are per object: a thread holds at most one
+  // of each rank, and two CPUs on different files or pipes share no lock.
   // Address-space locks (one per task, rank kAddrSpace) sit at the BOTTOM:
-  // user-copy page faults fire while vfs/pipes/files locks are held, so the
-  // fault path must still be able to take them. Same-rank nesting is
+  // user-copy page faults fire while inode/pipe/files locks are held, so
+  // the fault path must still be able to take them. Same-rank nesting is
   // forbidden, so COW fork clones in two sequential critical sections
   // (parent lock, then child lock), never nested.
   //
   // External lock classes (metapool stripe locks, allocator locks, the net
   // stack's locks) sit BELOW all kernel ranks: they are taken under any of
   // these — e.g. BoundsCheckObject under files_lock_ on the fd fast path,
-  // copy loops under vfs_lock_/pipes_lock_ — and never call back into
-  // kernel locks, so they are deliberately unranked.
+  // copy loops under an inode's or a pipe's lock — and never call back
+  // into kernel locks, so they are deliberately unranked.
   //
   // There is no big kernel lock: no syscall takes one, the scheduler
   // (Yield) runs under tasks_lock_, and the PokeUser/PeekUser host helpers
   // pin their task under an EpochGuard.
-  // Guards ramfs MUTATION: inodes_, namespace_, next_ino_, inode block
-  // lists and sizes, regular-file OpenFile offsets, and dir_index_
-  // republication. Writer-only since the epoch conversion: path lookup
-  // (kStat, non-creating kOpen) walks the epoch-published dir_index_
-  // without it.
+  // Guards the ramfs NAMESPACE: next_ino_ and dir_index_ republication
+  // (create and unlink). Writer-only: path lookup (kStat, non-creating
+  // kOpen) walks the epoch-published dir_index_ without it, and file data
+  // and offsets live under each inode's own lock.
   mutable smp::OrderedSpinLock vfs_lock_{smp::LockRank::kVfs};
   // Guards the pid->task map structure, next_pid_, and task lifecycle
   // fields (alive/zombie/parent links). Per-field task state that other
@@ -594,23 +619,19 @@ class Kernel {
   // stats counters) uses std::atomic_ref instead, so hot paths touching
   // only their own task never take it.
   mutable smp::OrderedSpinLock tasks_lock_{smp::LockRank::kTasks};
-  // Guards the pipes_ vector (slot publication and reset) and every Pipe's
-  // ring state and open_ends. The copy loops under it take metapool stripe
-  // and allocator locks (external classes, see above).
-  mutable smp::OrderedSpinLock pipes_lock_{smp::LockRank::kPipes};
   // Guards the event-queue table (evqs_) and the sid -> watching-queues
   // reverse map (evq_watchers_). Sits above files_lock_ so the wait path
   // could resolve fds under it; the ready callback takes it with nothing
   // ranked held. Per-queue EventQueue::lock is a separate unranked leaf
   // taken after this is released.
   mutable smp::OrderedSpinLock evq_lock_{smp::LockRank::kEvq};
-  // The fd-table WRITER lock: open-file table growth/append, fd-slot
-  // allocation and teardown, and refcounts. Writer-only since the epoch
-  // conversion — fd -> file READS (SysRead/SysWrite/SysNetSend/SysNetRecv
-  // and the evq fd probes) resolve through the epoch-published tables under
-  // an EpochGuard and never take it. Nothing ranked is acquired while
-  // holding it; retired OpenFile objects outlive pinned readers via the
-  // epoch grace period.
+  // The fd-table WRITER lock: fd-slot allocation and teardown, fd-table
+  // growth, and the reference bumps of dup and fork. Writer-only — fd ->
+  // file READS (SysRead/SysWrite/SysNetSend/SysNetRecv and the evq fd
+  // probes) resolve through the epoch-published fd table under an
+  // EpochGuard and never take it. Nothing ranked is acquired while holding
+  // it; retired OpenFile objects outlive pinned readers via the epoch
+  // grace period.
   mutable smp::OrderedSpinLock files_lock_{smp::LockRank::kFiles};
   svaos::SvaOS svaos_;
   // The VM subsystem: physical-frame refcounts + per-task address spaces.
@@ -627,6 +648,9 @@ class Kernel {
   runtime::PoolAllocator* pipe_cache_ = nullptr;
   runtime::PoolAllocator* evq_cache_ = nullptr;
   runtime::PoolAllocator* prof_cache_ = nullptr;
+  // The task cache's metapool, resolved once at boot (null unless safe
+  // mode): the syscall prologue and every fd-slot check use it.
+  runtime::MetaPool* task_pool_ = nullptr;
   runtime::MetaPool* user_pool_ = nullptr;
   std::unique_ptr<net::NetStack> net_;
 
@@ -635,9 +659,10 @@ class Kernel {
   // publish it with a release store, and retire the old snapshot through
   // smp::EpochDomain. Readers load (acquire) under an EpochGuard.
   //
-  // Snapshot of the ramfs namespace: path -> inode. Inode pointers are
-  // map-node-stable; unlink unpublishes first, then retires the extracted
-  // node so pinned readers finish against the intact inode.
+  // The ramfs namespace: path -> inode. It is its own master copy: a
+  // writer under vfs_lock_ copies the current snapshot, edits the copy and
+  // publishes it. Each entry holds one reference on its inode; unlink
+  // publishes a snapshot without the entry before dropping that reference.
   struct DirIndex {
     std::map<std::string, Inode*> entries;
   };
@@ -647,16 +672,11 @@ class Kernel {
   struct TaskIndex {
     std::vector<std::pair<int, Task*>> by_pid;  // Sorted by pid.
   };
-  // Rebuild + publish + retire-old; callers hold vfs_lock_ / tasks_lock_.
-  void RepublishDirIndex();
+  // Publish + retire-old; callers hold vfs_lock_ / tasks_lock_.
+  void PublishDirIndex(DirIndex* fresh);
   void RepublishTaskIndex(int skip_pid = -1);
 
   std::map<int, Task> tasks_;               // pid -> task
-  // The open-file table (see OpenFileTable). open_files_count_ (the
-  // append cursor) is guarded by files_lock_; the table pointer itself is
-  // epoch-published for the lock-free readers.
-  std::atomic<OpenFileTable*> open_files_tab_{nullptr};
-  uint64_t open_files_count_ = 0;
   // Event queues (index = evq id; entries stay allocated after close —
   // pointer stability for waiters racing a close — with open = false).
   std::vector<std::unique_ptr<EventQueue>> evqs_;
@@ -670,12 +690,6 @@ class Kernel {
   // Shared with the profiler's tick hook (see ProfTickGuard).
   std::shared_ptr<ProfTickGuard> prof_tick_guard_ =
       std::make_shared<ProfTickGuard>();
-  std::map<int, Inode> inodes_;             // ino -> inode
-  // Pipes (index = pipe id). Ids are append-only and never reused: a freed
-  // pipe's slot stays null, so a reader still holding a closed end's
-  // OpenFile finds null (kEBadF), never another pipe.
-  std::vector<std::unique_ptr<Pipe>> pipes_;
-  std::map<std::string, int> namespace_;    // path -> ino
   std::atomic<DirIndex*> dir_index_{nullptr};
   std::atomic<TaskIndex*> task_index_{nullptr};
 

@@ -26,7 +26,6 @@ namespace {
 constexpr uint64_t kEPerm = static_cast<uint64_t>(-1);
 constexpr uint64_t kEInval = static_cast<uint64_t>(-22);
 constexpr uint64_t kEBadF = static_cast<uint64_t>(-9);
-constexpr uint64_t kEMFile = static_cast<uint64_t>(-24);
 }  // namespace
 
 Result<uint64_t> Kernel::SysProfStart(uint64_t hz) {
@@ -76,15 +75,10 @@ Result<uint64_t> Kernel::SysProfStart(uint64_t hz) {
     DestroyProfSession(prof_id);
     return file_addr.status();
   }
-  auto file = std::make_unique<OpenFile>();
+  auto* file = new OpenFile;
   file->addr = *file_addr;
-  file->refs = 1;
   file->prof_id = prof_id;
-  auto fd = AllocateFd(*task, AddOpenFile(std::move(file)));
-  if (!fd.ok()) {
-    return kEMFile;
-  }
-  return static_cast<uint64_t>(*fd);
+  return InstallFd(*task, file);
 }
 
 Result<uint64_t> Kernel::SysProfStop(uint64_t fd) {

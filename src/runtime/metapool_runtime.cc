@@ -149,7 +149,7 @@ bool MetaPool::RegisterRange(uint64_t start, uint64_t size) {
     if (!slab_->Register(start, size)) {
       return false;
     }
-    live_objects_.fetch_add(1, std::memory_order_release);
+    slab_live_.Add();
     return true;
   }
   const uint32_t mask = StripeMaskFor(start, size);
@@ -182,7 +182,7 @@ std::optional<ObjectRange> MetaPool::RemoveStart(uint64_t start) {
     // reads the live bit itself (slab_registry.h on racing lookups).
     std::optional<ObjectRange> removed = slab_->Drop(start);
     if (removed.has_value()) {
-      live_objects_.fetch_sub(1, std::memory_order_release);
+      slab_live_.Sub();
     }
     return removed;
   }

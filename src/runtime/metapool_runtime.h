@@ -84,7 +84,8 @@ class MetaPool {
   void set_complete(bool c) { complete_ = c; }
 
   size_t live_objects() const {
-    return live_objects_.load(std::memory_order_relaxed);
+    return slab_ != nullptr ? slab_live_.value()
+                            : live_objects_.load(std::memory_order_relaxed);
   }
 
   // Direct (uninstrumented) registry access used by the runtime and tests.
@@ -152,7 +153,11 @@ class MetaPool {
   // Bumped (release) after every removal; per-thread cache entries tagged
   // with an older generation are never served.
   std::atomic<uint64_t> generation_{1};
+  // Live registrations. A splay pool keeps one atomic, because Lookup reads
+  // it as an emptiness test; a slab pool counts per CPU, so a kmalloc and
+  // a kfree write only their own CPU's line.
   std::atomic<uint64_t> live_objects_{0};
+  smp::ShardedCounter slab_live_;
   // Globally unique, never recycled: keys this pool's slot in each thread's
   // cache table, so a destroyed pool's entries can never alias a new pool.
   const uint64_t cache_id_;

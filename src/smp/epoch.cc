@@ -17,8 +17,23 @@ EpochDomain::~EpochDomain() {
   }
 }
 
-int EpochDomain::Pin() {
+namespace {
+// The calling thread's pin: how many EpochGuards it holds and the slot the
+// outermost one pinned. Nested guards (one syscall holds three) only move
+// the depth, so they cost no atomic and no shared-line write.
+struct ThreadPin {
+  uint32_t depth = 0;
+  int slot = 0;
+};
+thread_local ThreadPin tls_pin;
+}  // namespace
+
+void EpochDomain::Pin() {
+  if (tls_pin.depth++ != 0) {
+    return;
+  }
   const int index = static_cast<int>(current_cpu_id() % kMaxCpus);
+  tls_pin.slot = index;
   PinSlot& slot = slots_[index];
   // seq_cst RMW: the StoreLoad edge between publishing pins > 0 and loading
   // the global epoch is what stops TryAdvance from racing past a reader
@@ -30,13 +45,17 @@ int EpochDomain::Pin() {
     slot.epoch.store(global_epoch_.load(std::memory_order_seq_cst),
                      std::memory_order_seq_cst);
   }
-  return index;
 }
 
-void EpochDomain::Unpin(int slot_index) {
+void EpochDomain::Unpin() {
+  if (--tls_pin.depth != 0) {
+    return;
+  }
   // Release: everything this reader did (every load through a retired
-  // pointer) happens-before a later advance observing pins == 0.
-  slots_[slot_index].pins.fetch_sub(1, std::memory_order_release);
+  // pointer) happens-before a later advance observing pins == 0. The slot
+  // is the one the outermost Pin took, even if the thread rebound its CPU
+  // id since.
+  slots_[tls_pin.slot].pins.fetch_sub(1, std::memory_order_release);
 }
 
 void EpochDomain::Retire(std::function<void()> reclaim) {

@@ -7,10 +7,11 @@
 //   Readers  enter a critical section with an EpochGuard. Inside it, any
 //            pointer loaded (acquire) from an epoch-published location stays
 //            valid until the guard drops, even if a writer concurrently
-//            unpublishes and retires it. The guard is one atomic RMW on a
-//            per-CPU pin slot plus two uncontended per-CPU stores — it
-//            never takes a lock and never spins, so readers cannot block on
-//            writers (or on each other).
+//            unpublishes and retires it. The outermost guard on a thread
+//            is one atomic RMW on a per-CPU pin slot plus an uncontended
+//            per-CPU store; a nested guard only bumps a thread-local depth.
+//            It never takes a lock and never spins, so readers cannot
+//            block on writers (or on each other).
 //
 //   Writers  serialize among themselves however they like (the kernel keeps
 //            its ranked leaf locks for that), and replace state in two
@@ -69,11 +70,12 @@ class EpochDomain {
   }
 
   // --- Read side (use EpochGuard, not these) --------------------------------
-  // Pins the calling thread's CPU slot and returns its index for Unpin.
-  // Nested pins on the same slot just bump the count; the epoch snapshot is
-  // taken only by the outermost pin.
-  int Pin();
-  void Unpin(int slot_index);
+  // Pins the calling thread's CPU slot. Only the thread's outermost Pin
+  // touches the slot (the pin count RMW and the epoch snapshot); nested
+  // pins and unpins move a thread-local depth, and the outermost Unpin
+  // releases the slot the outermost Pin took.
+  void Pin();
+  void Unpin();
 
   // --- Write side -----------------------------------------------------------
   // Defers `reclaim` until two epoch advances from now. The caller must
@@ -156,18 +158,16 @@ class EpochDomain {
   std::atomic<uint64_t> reclaimed_{0};
 };
 
-// RAII read-side critical section. Cheap enough for every syscall: one
-// fetch_add, one fetch_sub, and (outermost pin only) an epoch snapshot
-// store on this CPU's own cache line.
+// RAII read-side critical section. Cheap enough for every syscall: the
+// outermost guard on a thread costs one fetch_add, one fetch_sub and an
+// epoch snapshot store on this CPU's own cache line; guards nested inside
+// it cost a thread-local increment and decrement.
 class EpochGuard {
  public:
-  EpochGuard() : slot_(EpochDomain::Global().Pin()) {}
-  ~EpochGuard() { EpochDomain::Global().Unpin(slot_); }
+  EpochGuard() { EpochDomain::Global().Pin(); }
+  ~EpochGuard() { EpochDomain::Global().Unpin(); }
   EpochGuard(const EpochGuard&) = delete;
   EpochGuard& operator=(const EpochGuard&) = delete;
-
- private:
-  int slot_;
 };
 
 // Convenience: retire a heap object for deferred delete.

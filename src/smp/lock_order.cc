@@ -9,6 +9,8 @@ const char* LockRankName(LockRank rank) {
   switch (rank) {
     case LockRank::kVfs:
       return "vfs";
+    case LockRank::kInode:
+      return "inode";
     case LockRank::kTasks:
       return "tasks";
     case LockRank::kPipes:
@@ -34,8 +36,8 @@ void LockOrderChecker::FatalInversion(LockRank incoming, const uint8_t* held,
                  static_cast<unsigned>(held[i]));
   }
   std::fprintf(stderr,
-               "]; required order is vfs -> tasks -> pipes -> evq -> files "
-               "-> addrspace (docs/CONCURRENCY.md)\n");
+               "]; required order is vfs -> inode -> tasks -> pipes -> evq -> "
+               "files -> addrspace (docs/CONCURRENCY.md)\n");
   std::abort();
 }
 

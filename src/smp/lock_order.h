@@ -20,7 +20,7 @@
 // never call back into kernel locks, so ranking them would only add noise.
 // The invariant the checker protects is the kernel's own order:
 //
-//   vfs_lock_ -> tasks_lock_ -> pipes_lock_ -> evq_lock_
+//   vfs_lock_ -> Inode::lock -> tasks_lock_ -> Pipe::lock -> evq_lock_
 //             -> files_lock_ -> address-space locks
 #ifndef SVA_SRC_SMP_LOCK_ORDER_H_
 #define SVA_SRC_SMP_LOCK_ORDER_H_
@@ -35,13 +35,14 @@ namespace sva::smp {
 // Ranks are spaced so a future subsystem lock can slot between existing
 // levels without renumbering. Lower rank = acquired earlier (outermost).
 enum class LockRank : uint8_t {
-  kVfs = 10,    // vfs_lock_: ramfs namespace, inodes, file offsets.
+  kVfs = 10,    // vfs_lock_: ramfs namespace (create, unlink, dir index).
+  kInode = 15,  // Inode::lock: one file's blocks, size and open offsets.
   kTasks = 20,  // tasks_lock_: pid->task map structure, pid allocation.
-  kPipes = 40,  // pipes_lock_: pipe table + ring state.
+  kPipes = 40,  // Pipe::lock: one pipe's ring state.
   kEvq = 45,    // evq_lock_: event-queue table + sid->watch reverse map.
-  kFiles = 50,  // files_lock_: open-file table + fd arrays (shared leaf).
+  kFiles = 50,  // files_lock_: fd-slot writers (shared leaf).
   // Per-task address-space locks rank ABOVE every table lock: user-copy
-  // page faults happen while vfs/pipes/files locks are held, so the fault
+  // page faults happen while inode/pipe/files locks are held, so the fault
   // path (FaultIn under the AS lock) must still be acquirable there.
   kAddrSpace = 60,
 };

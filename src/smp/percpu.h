@@ -81,11 +81,16 @@ class PerCpu {
 
 // A per-CPU sharded uint64 counter. Increments are relaxed atomic RMWs on
 // the caller's CPU slot (no contention across bound CPUs, race-free even
-// when oversubscribed); value() sums all shards.
+// when oversubscribed); value() sums all shards. A count that goes up on
+// one CPU and down on another leaves shards that wrap below zero; their
+// sum is still exact in modular arithmetic.
 class ShardedCounter {
  public:
   void Add(uint64_t delta = 1) {
     shards_.Current().fetch_add(delta, std::memory_order_relaxed);
+  }
+  void Sub(uint64_t delta = 1) {
+    shards_.Current().fetch_sub(delta, std::memory_order_relaxed);
   }
   uint64_t value() const {
     uint64_t total = 0;

@@ -92,6 +92,9 @@ bool SvaOS::WasPrivileged(const InterruptContext* icp) const {
 // --- Registration -----------------------------------------------------------------
 
 Status SvaOS::RegisterSyscall(uint64_t number, SyscallHandler handler) {
+  if (number >= kNumSyscalls) {
+    return InvalidArgument(StrCat("bad system call number ", number));
+  }
   syscalls_[number] = std::move(handler);
   return OkStatus();
 }
@@ -134,8 +137,7 @@ void SvaOS::ReturnFromInterrupt(InterruptContext* icp) {
 
 Result<uint64_t> SvaOS::Syscall(uint64_t number,
                                 const std::array<uint64_t, 6>& args) {
-  auto it = syscalls_.find(number);
-  if (it == syscalls_.end()) {
+  if (!HasSyscall(number)) {
     return NotFound(StrCat("unregistered system call ", number));
   }
   trace::Span span(trace::EventId::kSvaosDispatch,
@@ -154,7 +156,7 @@ Result<uint64_t> SvaOS::Syscall(uint64_t number,
   SyscallArgs call;
   call.args = args;
   call.icontext = icp;
-  Result<uint64_t> result = it->second(call);
+  Result<uint64_t> result = syscalls_[number](call);
   ReturnFromInterrupt(icp);
   return result;
 }

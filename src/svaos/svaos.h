@@ -19,7 +19,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -41,6 +40,9 @@ using SvaOsStats = smp::SvaOsStats;
 // Interrupt vector SvaOS::TlbShootdown raises on the initiating CPU to
 // model the cross-CPU shootdown IPI round (the NIC owns vector 32).
 inline constexpr unsigned kTlbShootdownVector = 33;
+
+// Size of the syscall table: handlers register numbers [0, kNumSyscalls).
+inline constexpr uint64_t kNumSyscalls = 128;
 
 struct SyscallArgs {
   std::array<uint64_t, 6> args{};
@@ -83,10 +85,11 @@ class SvaOS {
   bool WasPrivileged(const InterruptContext* icp) const;
 
   // --- Handler registration -----------------------------------------------------
+  // A number at or past kNumSyscalls is InvalidArgument.
   Status RegisterSyscall(uint64_t number, SyscallHandler handler);
   Status RegisterInterrupt(unsigned vector, InterruptHandler handler);
   bool HasSyscall(uint64_t number) const {
-    return syscalls_.count(number) != 0;
+    return number < kNumSyscalls && syscalls_[number];
   }
 
   // --- Dispatch -------------------------------------------------------------------
@@ -151,7 +154,8 @@ class SvaOS {
 
   hw::Machine& machine_;
   smp::VirtualMultiprocessor vmp_;
-  std::map<uint64_t, SyscallHandler> syscalls_;
+  // Both tables are indexed by number; an empty slot is unregistered.
+  std::array<SyscallHandler, kNumSyscalls> syscalls_;
   std::array<InterruptHandler, hw::kNumVectors> interrupts_;
 };
 

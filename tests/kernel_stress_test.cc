@@ -5,6 +5,7 @@
 // failure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -116,7 +117,8 @@ TEST(KernelStressTest, PipeSocketInterleaving) {
 
 // pipe() + close() must return every pipe resource: the 16 KiB ring, the
 // pipe_inode_info object, and the Pipe itself; 5000 cycles would otherwise
-// hold 80 MB of rings.
+// hold 80 MB of rings. The last close retires the pipe through the epoch
+// machinery, so each count is read after a grace period.
 TEST(KernelStressTest, PipeCloseReleasesRingAndInode) {
   StressHarness h;
   runtime::MetaPool* rings = h.k().pools().FindPool("MPk.kmalloc-16384");
@@ -138,9 +140,11 @@ TEST(KernelStressTest, PipeCloseReleasesRingAndInode) {
     uint64_t extra = h.Call(Sys::kDup, first);
     ASSERT_EQ(h.Call(Sys::kClose, first), 0u);
     ASSERT_EQ(h.Call(Sys::kClose, second), 0u);
+    smp::EpochDomain::Global().Synchronize();
     ASSERT_EQ(inodes->live_objects(), inodes_before + 1);
     ASSERT_EQ(h.Call(Sys::kClose, extra), 0u);
   }
+  smp::EpochDomain::Global().Synchronize();
   EXPECT_EQ(rings->live_objects(), rings_before);
   EXPECT_EQ(inodes->live_objects(), inodes_before);
   EXPECT_EQ(h.k().pools().stats().total_failed(), 0u);
@@ -148,8 +152,9 @@ TEST(KernelStressTest, PipeCloseReleasesRingAndInode) {
 
 // A close racing a read of the same pipe: the read resolves the fd
 // lock-free, so it may still hold the read end's file after both ends are
-// released. It must then see the freed pipe's slot empty (kEBadF), never
-// the freed ring. Under TSan this also checks the slot reset is ordered
+// released. It then reads the data from the pipe, which is retired only
+// past the reader's grace period, or finds the fd already closed (kEBadF);
+// never the freed ring. Under TSan this also checks the retire is ordered
 // against the ring accesses.
 TEST(KernelStressTest, PipeCloseDuringReadGetsDataOrEBadF) {
   constexpr uint64_t kEBadF = static_cast<uint64_t>(-9);
@@ -265,10 +270,9 @@ TEST(KernelStressTest, SignalStorm) {
   EXPECT_EQ(init->pending_signals, 0u);
 }
 
-// Concurrent vfs I/O and task churn from distinct host threads: vfs
-// syscalls take vfs_lock_ -> files_lock_ while fork/kill/brk/sigaction
-// take tasks_lock_ -> files_lock_, and since the BKL split neither path
-// serialises the other. Registered with the `concurrency` ctest label so
+// Concurrent vfs I/O and task churn from distinct host threads: file
+// syscalls take their inode's lock while fork/kill/brk/sigaction take
+// tasks_lock_ -> files_lock_, and neither path serialises the other. Registered with the `concurrency` ctest label so
 // the TSan configuration runs it; any missing synchronisation between the
 // two leaf-lock paths (fd-table copy vs. fd use, disposition copy vs.
 // sigaction, stats counters) surfaces as a reported race.
@@ -352,6 +356,141 @@ TEST(KernelStressTest, ConcurrentVfsAndForkOffTheBkl) {
   EXPECT_EQ(h.k().stats().forks, static_cast<uint64_t>(kForks));
   EXPECT_EQ(h.k().pools().stats().total_failed(), 0u);
   EXPECT_TRUE(h.k().pools().violations().empty());
+}
+
+// The live registrations of the pools a file or pipe lifecycle touches, and
+// the epoch counters: after a race test quiesces (every fd closed, every
+// name unlinked, one grace period run), each must be back where it began.
+struct LifecycleBaseline {
+  explicit LifecycleBaseline(Kernel& k) : kernel(k) {
+    for (const char* name : kPools) {
+      runtime::MetaPool* pool = k.pools().FindPool(name);
+      EXPECT_NE(pool, nullptr) << name;
+      live.push_back(pool == nullptr ? 0 : pool->live_objects());
+    }
+  }
+  void ExpectRestored() {
+    smp::EpochDomain& epoch = smp::EpochDomain::Global();
+    epoch.Synchronize();
+    for (size_t i = 0; i < live.size(); ++i) {
+      runtime::MetaPool* pool = kernel.pools().FindPool(kPools[i]);
+      ASSERT_NE(pool, nullptr);
+      EXPECT_EQ(pool->live_objects(), live[i]) << kPools[i];
+    }
+    EXPECT_EQ(epoch.retired(), epoch.reclaimed());
+    EXPECT_EQ(kernel.pools().stats().total_failed(), 0u);
+    EXPECT_TRUE(kernel.pools().violations().empty());
+  }
+  static constexpr const char* kPools[] = {
+      "MPc.inode", "MPc.filp", "MPc.pipe_inode_info", "MPk.kmalloc-4096",
+      "MPk.kmalloc-16384"};
+  Kernel& kernel;
+  std::vector<size_t> live;
+};
+
+// Unlink racing read and write on the same file: each open/write/read
+// round runs against the inode its fd names, linked or already unlinked,
+// and always reads back what it wrote. The unlinker drops the name while
+// the fd holds the inode, so the blocks die with the last close.
+TEST(KernelStressTest, UnlinkRacingReadAndWriteKeepsTheOpenInode) {
+  constexpr uint64_t kENoEnt = static_cast<uint64_t>(-2);
+  constexpr int kRounds = 1500;
+  constexpr uint64_t kChunk = 512;
+  StressHarness h;
+  LifecycleBaseline baseline(h.k());
+  ASSERT_TRUE(h.k().PokeUserString(h.user(0), "/stress/unlinked").ok());
+  h.k().svaos().ConfigureCpus(2);
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread unlinker([&] {
+    smp::ScopedCpu bind(1);
+    int removed = 0;
+    while (!done.load(std::memory_order_acquire) || removed == 0) {
+      auto r = h.k().Syscall(Sys::kUnlink, h.user(0));
+      if (!r.ok() || (*r != 0 && *r != kENoEnt)) {
+        failures.fetch_add(1);
+      }
+      removed += r.ok() && *r == 0;
+    }
+  });
+  {
+    smp::ScopedCpu bind(0);
+    std::vector<char> data(kChunk);
+    std::vector<char> back(kChunk);
+    for (int round = 0; round < kRounds; ++round) {
+      std::fill(data.begin(), data.end(), static_cast<char>('a' + round % 26));
+      ASSERT_TRUE(h.k().PokeUser(h.user(4096), data.data(), kChunk).ok());
+      uint64_t fd = h.Call(Sys::kOpen, h.user(0), 1);
+      ASSERT_LT(fd, 64u);
+      // Twice: the second write lands past the first, on a live or an
+      // unlinked inode alike.
+      ASSERT_EQ(h.Call(Sys::kWrite, fd, h.user(4096), kChunk), kChunk);
+      ASSERT_EQ(h.Call(Sys::kWrite, fd, h.user(4096), kChunk), kChunk);
+      ASSERT_EQ(h.Call(Sys::kLseek, fd, kChunk, 0), kChunk);
+      ASSERT_EQ(h.Call(Sys::kRead, fd, h.user(8192), kChunk), kChunk);
+      ASSERT_TRUE(h.k().PeekUser(h.user(8192), back.data(), kChunk).ok());
+      ASSERT_EQ(back, data) << "round " << round;
+      ASSERT_EQ(h.Call(Sys::kClose, fd), 0u);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  unlinker.join();
+  EXPECT_EQ(failures.load(), 0);
+  auto last = h.k().Syscall(Sys::kUnlink, h.user(0));
+  ASSERT_TRUE(last.ok());
+  baseline.ExpectRestored();
+}
+
+// The last close of a pipe's read end racing a read through a dup'd fd:
+// the reader gets the data (it resolved the fd before the close, and the
+// pipe is retired only past its grace period) or kEBadF (the slot was
+// already clear), never freed memory; and every pipe is reclaimed.
+TEST(KernelStressTest, LastPipeCloseRacingDupReadReclaimsThePipe) {
+  constexpr uint64_t kEBadF = static_cast<uint64_t>(-9);
+  constexpr int kRounds = 400;
+  StressHarness h;
+  LifecycleBaseline baseline(h.k());
+  std::vector<char> payload(48, 'd');
+  ASSERT_TRUE(h.k().PokeUser(h.user(64), payload.data(), payload.size()).ok());
+  h.k().svaos().ConfigureCpus(2);
+  int got_data = 0;
+  int got_ebadf = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_EQ(h.Call(Sys::kPipe, h.user(0)), 0u);
+    uint32_t fds[2];
+    ASSERT_TRUE(h.k().PeekUser(h.user(0), fds, 8).ok());
+    ASSERT_EQ(h.Call(Sys::kWrite, fds[1], h.user(64), payload.size()),
+              payload.size());
+    uint64_t dup = h.Call(Sys::kDup, fds[0]);
+    ASSERT_EQ(h.Call(Sys::kClose, fds[0]), 0u);
+    std::atomic<bool> ready{false};
+    std::atomic<bool> go{false};
+    uint64_t result = 0;
+    std::thread reader([&] {
+      smp::ScopedCpu bind(1);
+      ready.store(true, std::memory_order_release);
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      result = h.Call(Sys::kRead, dup, h.user(4096), payload.size());
+    });
+    {
+      smp::ScopedCpu bind(0);
+      while (!ready.load(std::memory_order_acquire)) {
+      }
+      go.store(true, std::memory_order_release);
+      ASSERT_EQ(h.Call(Sys::kClose, fds[1]), 0u);
+      ASSERT_EQ(h.Call(Sys::kClose, dup), 0u);
+    }
+    reader.join();
+    if (result == payload.size()) {
+      ++got_data;
+    } else {
+      ASSERT_EQ(result, kEBadF) << "round " << round;
+      ++got_ebadf;
+    }
+  }
+  EXPECT_EQ(got_data + got_ebadf, kRounds);
+  baseline.ExpectRestored();
 }
 
 TEST(KernelStressTest, FdExhaustionIsGraceful) {

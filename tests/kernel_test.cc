@@ -294,6 +294,35 @@ TEST_P(KernelModesTest, UnlinkReleasesStorage) {
   EXPECT_GT(*r, uint64_t{1} << 60);  // -ENOENT.
 }
 
+// An fd opened before the unlink keeps the file: reads and writes go on
+// against the old inode, a create of the same name gets a fresh empty file,
+// and the old blocks are freed only when the last fd closes.
+TEST_P(KernelModesTest, UnlinkedFileStaysUsableThroughOpenFd) {
+  KernelHarness h(GetParam());
+  ASSERT_TRUE(h.k().PokeUserString(h.user(0), "/tmp/open-unlinked").ok());
+  uint64_t fd = h.Call(Sys::kOpen, h.user(0), 1);
+  ASSERT_TRUE(h.k().PokeUser(h.user(64), "old", 3).ok());
+  ASSERT_EQ(h.Call(Sys::kWrite, fd, h.user(64), 3), 3u);
+  ASSERT_EQ(h.Call(Sys::kUnlink, h.user(0)), 0u);
+  EXPECT_GT(h.Call(Sys::kStat, h.user(0)), uint64_t{1} << 60);  // -ENOENT.
+
+  ASSERT_TRUE(h.k().PokeUser(h.user(64), "er", 2).ok());
+  ASSERT_EQ(h.Call(Sys::kWrite, fd, h.user(64), 2), 2u);
+  uint64_t fresh = h.Call(Sys::kOpen, h.user(0), 1);
+  EXPECT_EQ(h.Call(Sys::kStat, h.user(0)), 0u);
+
+  ASSERT_EQ(h.Call(Sys::kLseek, fd, 0, 0), 0u);
+  ASSERT_EQ(h.Call(Sys::kRead, fd, h.user(128), 16), 5u);
+  char got[5];
+  ASSERT_TRUE(h.k().PeekUser(h.user(128), got, 5).ok());
+  EXPECT_EQ(std::string(got, 5), "older");
+  EXPECT_EQ(h.Call(Sys::kLseek, fd, 0, 2), 5u);
+  EXPECT_EQ(h.Call(Sys::kRead, fresh, h.user(128), 16), 0u);
+  EXPECT_EQ(h.Call(Sys::kClose, fd), 0u);
+  EXPECT_EQ(h.Call(Sys::kClose, fresh), 0u);
+  EXPECT_EQ(h.k().pools().stats().total_failed(), 0u);
+}
+
 TEST_P(KernelModesTest, DupSharesOffset) {
   KernelHarness h(GetParam());
   ASSERT_TRUE(h.k().PokeUserString(h.user(0), "/tmp/dup").ok());

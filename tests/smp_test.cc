@@ -3,6 +3,8 @@
 // reclamation domain plus its kernel integration (lock-free fd/path reads
 // racing writer churn — see docs/CONCURRENCY.md §5).
 #include <atomic>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -87,6 +89,26 @@ TEST(ShardedCounterTest, SumsAcrossConcurrentShards) {
   }
   EXPECT_EQ(counter.value(), kThreads * kAdds);
   counter.Reset();
+  EXPECT_EQ(counter.value(), 0u);
+}
+
+// A live count that rises on one CPU and falls on another (a kmalloc freed
+// by a different CPU): the shards wrap below zero, the sum stays exact.
+TEST(ShardedCounterTest, SubOnAnotherCpuKeepsTheSumExact) {
+  ShardedCounter counter;
+  {
+    ScopedCpu bind(0);
+    counter.Add(5);
+  }
+  {
+    ScopedCpu bind(3);
+    counter.Sub(3);
+  }
+  EXPECT_EQ(counter.value(), 2u);
+  {
+    ScopedCpu bind(3);
+    counter.Sub(2);
+  }
   EXPECT_EQ(counter.value(), 0u);
 }
 
@@ -278,7 +300,7 @@ TEST(EpochDomainTest, GracePeriodSpansTwoAdvances) {
   EpochDomain& d = EpochDomain::Global();
   ScopedCpu bind(0);
   std::atomic<bool> freed{false};
-  int slot = d.Pin();
+  d.Pin();
   d.Retire([&freed] { freed.store(true); });
   // The first advance may succeed — the pinned slot observed the retire
   // epoch E — but the retiree needs E+2, so it must not be reclaimed.
@@ -287,25 +309,40 @@ TEST(EpochDomainTest, GracePeriodSpansTwoAdvances) {
   // No further advance while the reader still sits pinned in epoch E.
   EXPECT_FALSE(d.TryAdvance());
   EXPECT_FALSE(freed.load());
-  d.Unpin(slot);
+  d.Unpin();
   d.Synchronize();
   EXPECT_TRUE(freed.load());
 }
 
-TEST(EpochDomainTest, PinnedReadersGaugeCountsNestedGuards) {
+// One syscall nests three guards (HandleSyscall and two current_task()
+// lookups); only the outermost may touch the shared pin slot, and the inner
+// ones dropping must not unpin the reader.
+TEST(EpochDomainTest, NestedGuardsPinTheSlotOnce) {
   EpochDomain& d = EpochDomain::Global();
   ScopedCpu bind(0);
   const uint64_t base = d.pinned_readers();
+  std::atomic<bool> freed{false};
   {
     EpochGuard outer;
-    EXPECT_EQ(d.pinned_readers(), base + 1);
     {
-      EpochGuard inner;
-      EXPECT_EQ(d.pinned_readers(), base + 2);
+      EpochGuard middle;
+      {
+        EpochGuard inner;
+        EXPECT_EQ(d.pinned_readers(), base + 1);
+        d.Retire([&freed] { freed.store(true); });
+        // May advance once: the slot observed the retire epoch.
+        d.TryAdvance();
+      }
+      EXPECT_EQ(d.pinned_readers(), base + 1);
+      EXPECT_FALSE(d.TryAdvance()) << "an inner unpin released the slot";
     }
     EXPECT_EQ(d.pinned_readers(), base + 1);
+    EXPECT_FALSE(d.TryAdvance());
+    EXPECT_FALSE(freed.load());
   }
   EXPECT_EQ(d.pinned_readers(), base);
+  d.Synchronize();
+  EXPECT_TRUE(freed.load());
 }
 
 TEST(EpochDomainTest, CountersBalanceAtQuiesce) {
@@ -489,6 +526,79 @@ TEST(EpochTortureTest, ReadFastPathsTakeNoSharedLocks) {
       << "an fd-read path fell back onto files_lock_";
   EXPECT_EQ(vfs_after, vfs_before)
       << "a path-lookup or offset-read path fell back onto vfs_lock_";
+}
+
+// Per-object locks: regular-file read, write and lseek(SEEK_SET) take
+// their inode's lock once per call and pipe read and write their pipe's
+// lock once per call; none of them takes vfs_lock_ (namespace changes
+// only) or files_lock_ (fd-slot writers only). So two CPUs on different
+// files and pipes share no lock.
+TEST(EpochTortureTest, FileAndPipeDataPathsTakeOnlyTheirObjectLock) {
+  EpochKernelHarness h;
+  ASSERT_TRUE(h.k().PokeUserString(h.user(0), "/epoch/objlock").ok());
+  uint64_t fd = h.Call(kernel::Sys::kOpen, h.user(0), 1);
+  std::vector<char> data(256, 'o');
+  ASSERT_TRUE(h.k().PokeUser(h.user(4096), data.data(), data.size()).ok());
+  ASSERT_EQ(h.Call(kernel::Sys::kWrite, fd, h.user(4096), 256), 256u);
+  ASSERT_EQ(h.Call(kernel::Sys::kPipe, h.user(256)), 0u);
+  uint32_t pipe_fds[2];
+  ASSERT_TRUE(h.k().PeekUser(h.user(256), pipe_fds, 8).ok());
+  // Prime every path once so lazy page faults happen outside the window.
+  ASSERT_EQ(h.Call(kernel::Sys::kLseek, fd, 0, 0), 0u);
+  ASSERT_EQ(h.Call(kernel::Sys::kRead, fd, h.user(8192), 64), 64u);
+  ASSERT_EQ(h.Call(kernel::Sys::kWrite, pipe_fds[1], h.user(4096), 64), 64u);
+  ASSERT_EQ(h.Call(kernel::Sys::kRead, pipe_fds[0], h.user(8192), 64), 64u);
+
+  constexpr uint64_t kCalls = 200;
+  const bool was_enabled = LockOrderChecker::enabled();
+  LockOrderChecker::set_enabled(true);
+  // Runs `call` kCalls times and returns the acquisitions of each rank.
+  auto count = [&](const std::function<void()>& call) {
+    constexpr LockRank kRanks[] = {LockRank::kVfs, LockRank::kInode,
+                                   LockRank::kPipes, LockRank::kFiles};
+    std::map<LockRank, uint64_t> before;
+    for (LockRank rank : kRanks) {
+      before[rank] = LockOrderChecker::acquisitions_of(rank);
+    }
+    for (uint64_t i = 0; i < kCalls; ++i) {
+      call();
+    }
+    std::map<LockRank, uint64_t> taken;
+    for (LockRank rank : kRanks) {
+      taken[rank] = LockOrderChecker::acquisitions_of(rank) - before[rank];
+    }
+    return taken;
+  };
+  auto read = count([&] {
+    h.Call(kernel::Sys::kLseek, fd, 0, 1);  // SEEK_CUR probe: no lock.
+    h.Call(kernel::Sys::kRead, fd, h.user(8192), 1);
+  });
+  auto seek = count([&] { h.Call(kernel::Sys::kLseek, fd, 0, 0); });
+  auto write = count([&] {
+    h.Call(kernel::Sys::kWrite, fd, h.user(4096), 64);
+  });
+  auto pipe_write = count([&] {
+    h.Call(kernel::Sys::kWrite, pipe_fds[1], h.user(4096), 8);
+  });
+  auto pipe_read = count([&] {
+    h.Call(kernel::Sys::kRead, pipe_fds[0], h.user(8192), 8);
+  });
+  LockOrderChecker::set_enabled(was_enabled);
+
+  for (auto* file_path : {&read, &seek, &write}) {
+    EXPECT_EQ((*file_path)[LockRank::kInode], kCalls);
+    EXPECT_EQ((*file_path)[LockRank::kPipes], 0u);
+  }
+  for (auto* pipe_path : {&pipe_write, &pipe_read}) {
+    EXPECT_EQ((*pipe_path)[LockRank::kPipes], kCalls);
+    EXPECT_EQ((*pipe_path)[LockRank::kInode], 0u);
+  }
+  for (auto* any : {&read, &seek, &write, &pipe_write, &pipe_read}) {
+    EXPECT_EQ((*any)[LockRank::kVfs], 0u)
+        << "a file or pipe data path took vfs_lock_";
+    EXPECT_EQ((*any)[LockRank::kFiles], 0u)
+        << "a file or pipe data path took files_lock_";
+  }
 }
 
 // The publish-then-retire regression: a close (or dup/close) racing a

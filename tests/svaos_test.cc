@@ -79,6 +79,25 @@ TEST_F(SvaOsTest, SyscallDispatchThroughInterruptContext) {
   EXPECT_FALSE(os_.Syscall(99, {}).ok());
 }
 
+TEST_F(SvaOsTest, SyscallNumbersOutsideTheTableAreNotFound) {
+  auto handler = [](const SyscallArgs&) -> Result<uint64_t> { return 5; };
+  ASSERT_TRUE(os_.RegisterSyscall(kNumSyscalls - 1, handler).ok());
+  EXPECT_EQ(os_.RegisterSyscall(kNumSyscalls, handler).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(os_.HasSyscall(kNumSyscalls));
+  auto last = os_.Syscall(kNumSyscalls - 1, {});
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last, 5u);
+  for (uint64_t number : {uint64_t{0}, kNumSyscalls, kNumSyscalls + 5,
+                          UINT64_MAX}) {
+    auto r = os_.Syscall(number, {});
+    ASSERT_FALSE(r.ok()) << number;
+    EXPECT_EQ(r.status().code(), StatusCode::kNotFound) << number;
+  }
+  // A rejected call never entered the kernel.
+  EXPECT_EQ(os_.stats().syscalls_dispatched, 1u);
+}
+
 TEST_F(SvaOsTest, InternalSyscallSeesPrivilegedContext) {
   bool was_privileged = false;
   ASSERT_TRUE(os_.RegisterSyscall(
