@@ -1061,22 +1061,8 @@ Result<uint64_t> Kernel::SysGetRusage(uint64_t uaddr) {
 
 Result<uint64_t> Kernel::SysOpen(uint64_t path_uaddr, uint64_t flags) {
   Task& task = *current_task();
-  SVA_ASSIGN_OR_RETURN(uint64_t path_buf,
-                       allocators_->Kmalloc(kMaxPathLength));
-  Status copy = CopyFromUser(task, path_buf, path_uaddr, kMaxPathLength);
-  if (!copy.ok()) {
-    (void)allocators_->Kfree(path_buf);
-    return copy;
-  }
   std::string path;
-  for (uint64_t i = 0; i < kMaxPathLength; ++i) {
-    auto c = machine_.memory().Read(path_buf + i, 1);
-    if (!c.ok() || *c == 0) {
-      break;
-    }
-    path.push_back(static_cast<char>(*c));
-  }
-  SVA_RETURN_IF_ERROR(allocators_->Kfree(path_buf));
+  SVA_RETURN_IF_ERROR(ReadUserPath(task, path_uaddr, &path));
 
   // Fast path: resolve existing names against the epoch-published directory
   // index with no vfs_lock_ (docs/CONCURRENCY.md §5). The Inode pointer is
@@ -1329,22 +1315,8 @@ Result<uint64_t> Kernel::SysStat(uint64_t path_uaddr) {
 
 Result<uint64_t> Kernel::SysUnlink(uint64_t path_uaddr) {
   Task& task = *current_task();
-  SVA_ASSIGN_OR_RETURN(uint64_t path_buf,
-                       allocators_->Kmalloc(kMaxPathLength));
-  Status copy = CopyFromUser(task, path_buf, path_uaddr, kMaxPathLength);
-  if (!copy.ok()) {
-    (void)allocators_->Kfree(path_buf);
-    return copy;
-  }
   std::string path;
-  for (uint64_t i = 0; i < kMaxPathLength; ++i) {
-    auto c = machine_.memory().Read(path_buf + i, 1);
-    if (!c.ok() || *c == 0) {
-      break;
-    }
-    path.push_back(static_cast<char>(*c));
-  }
-  SVA_RETURN_IF_ERROR(allocators_->Kfree(path_buf));
+  SVA_RETURN_IF_ERROR(ReadUserPath(task, path_uaddr, &path));
   Inode* inode;
   {
     trace::TimedLockGuard<smp::OrderedSpinLock> vfs_guard(

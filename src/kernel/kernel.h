@@ -445,9 +445,10 @@ class Kernel {
   // Copies a NUL-terminated path (at most kMaxPathLength bytes; longer ones
   // truncate) out of user memory: memchr per page, then one bounds check
   // against the userspace object over the bytes consumed (safe mode). Takes
-  // no lock and no kernel allocation — the lock-free path-resolution
-  // syscalls (kStat, non-creating kOpen) use it instead of the Kmalloc +
-  // CopyFromUser staging the mutating path keeps.
+  // no lock and no kernel allocation; every path-taking syscall (kStat,
+  // kOpen, kUnlink) reads its path through it, so a path whose NUL is the
+  // userspace object's last byte is legal and one that runs off the object
+  // fails the §4.6 check.
   Status ReadUserPath(Task& task, uint64_t path_uaddr, std::string* out);
 
   // --- Syscall implementations ---------------------------------------------------

@@ -54,14 +54,9 @@ thread_local std::array<TlsPoolCache, kTlsPoolCacheSlots> tls_pool_caches;
 // mistaken for a newly created pool occupying the same slot.
 std::atomic<uint64_t> next_pool_cache_id{1};
 
-uint64_t LoadCounter(const uint64_t& counter) {
-  return std::atomic_ref<const uint64_t>(counter).load(
-      std::memory_order_relaxed);
-}
-
-void StoreCounter(uint64_t& counter, uint64_t value) {
-  std::atomic_ref<uint64_t>(counter).store(value, std::memory_order_relaxed);
-}
+using smp::Bump;
+using smp::LoadCounter;
+using smp::StoreCounter;
 
 }  // namespace
 
@@ -234,7 +229,8 @@ std::optional<ObjectRange> MetaPool::RemoveStart(uint64_t start) {
   return removed;
 }
 
-const ObjectRange* MetaPool::TlsProbe(uint64_t addr) const {
+[[gnu::always_inline]] inline const ObjectRange* MetaPool::TlsProbe(
+    uint64_t addr) const {
   TlsPoolCache& slot = tls_pool_caches[cache_id_ % kTlsPoolCacheSlots];
   if (slot.pool_id != cache_id_) {
     return nullptr;
@@ -280,7 +276,7 @@ std::optional<ObjectRange> MetaPool::Lookup(uint64_t addr) {
   const bool use_cache = cache_enabled();
   if (use_cache) {
     if (const ObjectRange* hit = TlsProbe(addr)) {
-      cache_hits_.Add();
+      Bump(cache_counts_.Local().hits);
       trace::Emit(trace::EventId::kCacheHit, addr);
       return *hit;
     }
@@ -289,7 +285,7 @@ std::optional<ObjectRange> MetaPool::Lookup(uint64_t addr) {
     return std::nullopt;  // Empty pool: no miss is charged (cold registry).
   }
   if (use_cache) {
-    cache_misses_.Add();
+    Bump(cache_counts_.Local().misses);
     trace::Emit(trace::EventId::kCacheMiss, addr);
   }
   // Read the generation before the locked lookup: if a drop races in after
@@ -327,7 +323,7 @@ std::optional<ObjectRange> MetaPool::LookupStart(uint64_t start) {
     // Exact-start lookups can only be served by an entry starting there.
     const ObjectRange* hit = TlsProbe(start);
     if (hit != nullptr && hit->start == start) {
-      cache_hits_.Add();
+      Bump(cache_counts_.Local().hits);
       return *hit;
     }
   }
@@ -335,7 +331,7 @@ std::optional<ObjectRange> MetaPool::LookupStart(uint64_t start) {
     return std::nullopt;
   }
   if (use_cache) {
-    cache_misses_.Add();
+    Bump(cache_counts_.Local().misses);
   }
   const uint64_t gen = generation_.load(std::memory_order_acquire);
   Stripe& stripe = stripes_[StripeFor(start)];
@@ -357,6 +353,20 @@ void MetaPool::set_cache_enabled(bool enabled) {
   generation_.fetch_add(1, std::memory_order_release);
 }
 
+uint64_t MetaPool::cache_hits() const {
+  uint64_t total = 0;
+  cache_counts_.ForEach(
+      [&total](const CacheCounts& c) { total += LoadCounter(c.hits); });
+  return total;
+}
+
+uint64_t MetaPool::cache_misses() const {
+  uint64_t total = 0;
+  cache_counts_.ForEach(
+      [&total](const CacheCounts& c) { total += LoadCounter(c.misses); });
+  return total;
+}
+
 uint64_t MetaPool::comparisons() const {
   uint64_t total = 0;
   for (const Stripe& stripe : stripes_) {
@@ -376,8 +386,10 @@ uint64_t MetaPool::rotations() const {
 }
 
 void MetaPool::ResetStats() {
-  cache_hits_.Reset();
-  cache_misses_.Reset();
+  cache_counts_.ForEachMutable([](CacheCounts& c) {
+    StoreCounter(c.hits, 0);
+    StoreCounter(c.misses, 0);
+  });
   for (Stripe& stripe : stripes_) {
     std::lock_guard<smp::SpinLock> guard(stripe.lock);
     stripe.tree.ResetStats();
@@ -552,10 +564,16 @@ Status MetaPoolRuntime::BoundsCheck(MetaPool& pool, uint64_t src,
                    derived);
   Bump(Shard().bounds_performed);
   std::optional<ObjectRange> obj = pool.Lookup(src);
+  if (obj.has_value() && obj->Contains(derived)) [[likely]] {
+    return OkStatus();
+  }
+  return BoundsCheckSlow(pool, src, derived, obj);
+}
+
+Status MetaPoolRuntime::BoundsCheckSlow(MetaPool& pool, uint64_t src,
+                                        uint64_t derived,
+                                        const std::optional<ObjectRange>& obj) {
   if (obj.has_value()) {
-    if (obj->Contains(derived)) {
-      return OkStatus();
-    }
     Bump(Shard().bounds_failed);
     return Fail(CheckKind::kBounds, &pool, derived, src,
                 StrCat("derived pointer escapes object [0x", std::hex,
@@ -583,9 +601,14 @@ Status MetaPoolRuntime::BoundsCheck(MetaPool& pool, uint64_t src,
 Status MetaPoolRuntime::BoundsCheckDirect(uint64_t start, uint64_t derived,
                                           uint64_t end) {
   Bump(Shard().bounds_performed);
-  if (derived >= start && derived < end) {
+  if (derived >= start && derived < end) [[likely]] {
     return OkStatus();
   }
+  return FailDirect(start, derived, end);
+}
+
+Status MetaPoolRuntime::FailDirect(uint64_t start, uint64_t derived,
+                                   uint64_t end) {
   Bump(Shard().bounds_failed);
   return Fail(CheckKind::kBounds, nullptr, derived, start,
               StrCat("derived pointer outside static bounds [0x", std::hex,
@@ -606,9 +629,13 @@ Status MetaPoolRuntime::LoadStoreCheck(MetaPool& pool, uint64_t addr) {
     return OkStatus();
   }
   Bump(Shard().loadstore_performed);
-  if (pool.Lookup(addr).has_value()) {
+  if (pool.Lookup(addr).has_value()) [[likely]] {
     return OkStatus();
   }
+  return FailLoadStore(pool, addr);
+}
+
+Status MetaPoolRuntime::FailLoadStore(const MetaPool& pool, uint64_t addr) {
   Bump(Shard().loadstore_failed);
   return Fail(CheckKind::kLoadStore, &pool, addr, 0,
               "pointer does not reference a registered object of its "

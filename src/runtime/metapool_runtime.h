@@ -23,7 +23,9 @@
 // object-lookup cache in front of the trees is per-thread (TLS) and
 // validated against a per-pool generation counter, so the hot fast path
 // takes no lock at all. The check entry points and CheckStats counts are
-// the same for both registries.
+// the same for both registries. CheckStats and the per-pool cache hit/miss
+// counts live in per-thread single-writer shards (smp/thread_shards.h): a
+// check bumps them with a plain load and store, no locked instruction.
 #ifndef SVA_SRC_RUNTIME_METAPOOL_RUNTIME_H_
 #define SVA_SRC_RUNTIME_METAPOOL_RUNTIME_H_
 
@@ -43,6 +45,7 @@
 #include "src/runtime/splay_tree.h"
 #include "src/smp/percpu.h"
 #include "src/smp/sync.h"
+#include "src/smp/thread_shards.h"
 #include "src/support/status.h"
 
 namespace sva::runtime {
@@ -117,8 +120,9 @@ class MetaPool {
 
   // Fast-path counters: lookups absorbed by the per-thread cache, lookups
   // that fell through to a tree, and splay comparisons over all stripes.
-  uint64_t cache_hits() const { return cache_hits_.value(); }
-  uint64_t cache_misses() const { return cache_misses_.value(); }
+  // The hit/miss counts fold per-thread shards: exact at quiescence.
+  uint64_t cache_hits() const;
+  uint64_t cache_misses() const;
   uint64_t comparisons() const;
   uint64_t rotations() const;
   void ResetStats();
@@ -162,18 +166,21 @@ class MetaPool {
   // cache table, so a destroyed pool's entries can never alias a new pool.
   const uint64_t cache_id_;
   std::atomic<bool> cache_enabled_{true};
-  mutable smp::ShardedCounter cache_hits_;
-  mutable smp::ShardedCounter cache_misses_;
+  struct CacheCounts {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+  smp::ThreadShards<CacheCounts> cache_counts_;
 };
 
 // Owns all metapools of one executing kernel/program and implements the
 // pchk.*/sva.* operations against them.
 //
 // Concurrency: the check/registration entry points are thread-safe (striped
-// pool registries, spinlocked violation log and target sets, per-CPU check
-// counters). stats(), violations() and pools() report a consistent snapshot
-// only at quiescence (no checks in flight), which is how the harnesses use
-// them.
+// pool registries, spinlocked violation log and target sets, per-thread
+// check counters). stats(), violations() and pools() report a consistent
+// snapshot only at quiescence (no checks in flight), which is how the
+// harnesses use them; ResetStats() must run at quiescence too.
 class MetaPoolRuntime {
  public:
   explicit MetaPoolRuntime(EnforcementMode mode = EnforcementMode::kTrap)
@@ -221,10 +228,13 @@ class MetaPoolRuntime {
   void set_mode(EnforcementMode mode) { mode_ = mode; }
   const std::vector<Violation>& violations() const { return violations_; }
   void ClearViolations();
-  // Returns the counters aggregated over all CPU shards, with the per-pool
-  // fast-path counters (cache hits/misses, splay comparisons) folded in.
+  // Returns the counters folded over every thread's shard (including those
+  // of threads that have exited), with the per-pool fast-path counters
+  // (cache hits/misses, splay comparisons) folded in.
   const CheckStats& stats() const;
   void ResetStats();
+  // Counter shards held: at most the threads that ever checked at once.
+  size_t stats_shard_count() const { return stats_shards_.shard_count(); }
 
   // Toggles the per-pool object-lookup cache on every pool (existing and
   // future). Enabled by default; the benchmark harness disables it to
@@ -239,13 +249,19 @@ class MetaPoolRuntime {
  private:
   Status Fail(CheckKind kind, const MetaPool* pool, uint64_t address,
               uint64_t aux, std::string detail);
-  // The calling CPU's counter shard; fields are bumped through atomic_ref so
-  // oversubscribed threads sharing a CPU id stay race-free.
-  CheckStats& Shard() { return stats_shards_.Current(); }
-  static void Bump(uint64_t& counter) {
-    std::atomic_ref<uint64_t>(counter).fetch_add(1,
-                                                 std::memory_order_relaxed);
-  }
+  // The checks' failure and reduced-check paths, kept out of line so the
+  // passing path stays a short leaf-like sequence.
+  [[gnu::noinline]] Status BoundsCheckSlow(
+      MetaPool& pool, uint64_t src, uint64_t derived,
+      const std::optional<ObjectRange>& obj);
+  [[gnu::noinline, gnu::cold]] Status FailDirect(uint64_t start,
+                                                 uint64_t derived,
+                                                 uint64_t end);
+  [[gnu::noinline, gnu::cold]] Status FailLoadStore(const MetaPool& pool,
+                                                    uint64_t addr);
+  // The calling thread's counter shard, bumped with smp::Bump (it has no
+  // other writer).
+  CheckStats& Shard() { return stats_shards_.Local(); }
 
   EnforcementMode mode_;
   bool lookup_cache_enabled_ = true;
@@ -255,7 +271,7 @@ class MetaPoolRuntime {
   std::vector<std::vector<uint64_t>> target_sets_;
   mutable smp::SpinLock violations_lock_;
   std::vector<Violation> violations_;
-  smp::PerCpu<CheckStats> stats_shards_;
+  smp::ThreadShards<CheckStats> stats_shards_;
   // stats() folds the shards and the per-pool counters into this scratch on
   // demand; mutable so the accessor can stay const.
   mutable CheckStats stats_;

@@ -6,11 +6,6 @@
 
 namespace sva::smp {
 
-EpochDomain& EpochDomain::Global() {
-  static EpochDomain domain;
-  return domain;
-}
-
 EpochDomain::~EpochDomain() {
   if (pinned_readers() == 0) {
     reclaimed_.fetch_add(ReclaimUpTo(UINT64_MAX), std::memory_order_relaxed);

@@ -57,7 +57,10 @@ class EpochDomain {
   // process shares it: grace periods are a global property of the readers,
   // so splitting domains per kernel instance would only multiply the
   // bookkeeping without shortening any grace period.
-  static EpochDomain& Global();
+  static EpochDomain& Global() {
+    static EpochDomain domain;
+    return domain;
+  }
 
   // Runs every pending retiree when the process-global domain is torn down
   // at exit, so deferred frees are not lost with the retire lists. Skipped

@@ -1,20 +1,29 @@
 #include "src/svm/address_space.h"
 
 #include <cstring>
+#include <new>
 
 #include "src/support/strings.h"
 
 namespace sva::svm {
 
 AddressSpace::AddressSpace(uint64_t size_bytes)
-    : bytes_(size_bytes, 0), bump_(kernel_base()), pages_(*this) {}
+    : map_(size_bytes),
+      bytes_(static_cast<uint8_t*>(map_.data())),
+      size_(size_bytes),
+      bump_(kernel_base()),
+      pages_(*this) {
+  if (size_bytes != 0 && bytes_ == nullptr) {
+    throw std::bad_alloc();
+  }
+}
 
 Status AddressSpace::CheckRange(uint64_t addr, uint64_t len) const {
   if (addr < kNullGuard) {
     return SafetyViolation(
         StrCat("hardware fault: null-page access at 0x", std::hex, addr));
   }
-  if (addr + len > bytes_.size() || addr + len < addr) {
+  if (addr + len > size_ || addr + len < addr) {
     return SafetyViolation(
         StrCat("hardware fault: access beyond physical memory at 0x",
                std::hex, addr));
@@ -69,19 +78,19 @@ Status AddressSpace::WriteF32(uint64_t addr, float value) {
 Status AddressSpace::Copy(uint64_t dst, uint64_t src, uint64_t len) {
   SVA_RETURN_IF_ERROR(CheckRange(dst, len));
   SVA_RETURN_IF_ERROR(CheckRange(src, len));
-  std::memmove(bytes_.data() + dst, bytes_.data() + src, len);
+  std::memmove(bytes_ + dst, bytes_ + src, len);
   return OkStatus();
 }
 
 Status AddressSpace::Fill(uint64_t addr, uint8_t value, uint64_t len) {
   SVA_RETURN_IF_ERROR(CheckRange(addr, len));
-  std::memset(bytes_.data() + addr, value, len);
+  std::memset(bytes_ + addr, value, len);
   return OkStatus();
 }
 
 uint64_t AddressSpace::AllocateRegion(uint64_t size, uint64_t align) {
   uint64_t base = (bump_ + align - 1) / align * align;
-  if (base + size > bytes_.size() || base + size < base) {
+  if (base + size > size_ || base + size < base) {
     return 0;
   }
   bump_ = base + size;

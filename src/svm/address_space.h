@@ -12,13 +12,17 @@
 #define SVA_SRC_SVM_ADDRESS_SPACE_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "src/support/status.h"
 #include "src/runtime/pool_allocator.h"
+#include "src/support/status.h"
+#include "src/support/zero_filled_map.h"
 
 namespace sva::svm {
 
+// The arena is lazily zero-filled (src/support/zero_filled_map.h): a VM
+// costs host memory only for the pages its bytecode writes, and creating
+// one costs no time proportional to its size. Construction throws
+// std::bad_alloc when the arena cannot be mapped.
 class AddressSpace {
  public:
   static constexpr uint64_t kNullGuard = 4096;
@@ -28,7 +32,7 @@ class AddressSpace {
 
   explicit AddressSpace(uint64_t size_bytes = 32ull << 20);
 
-  uint64_t size() const { return bytes_.size(); }
+  uint64_t size() const { return size_; }
   uint64_t user_base() const { return kDefaultUserBase; }
   uint64_t user_size() const { return kDefaultUserSize; }
   uint64_t user_end() const { return user_base() + user_size(); }
@@ -68,7 +72,9 @@ class AddressSpace {
  private:
   Status CheckRange(uint64_t addr, uint64_t len) const;
 
-  std::vector<uint8_t> bytes_;
+  ZeroFilledMap map_;
+  uint8_t* bytes_;
+  uint64_t size_;
   uint64_t bump_;
   Pages pages_;
 };

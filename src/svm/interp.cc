@@ -404,12 +404,7 @@ Result<uint64_t> Interpreter::RunIntrinsicById(vir::Intrinsic which,
     if (i >= args.size()) {
       return InvalidArgument("intrinsic: missing metapool argument");
     }
-    runtime::MetaPool* pool = PoolForHandle(args[i]);
-    if (pool == nullptr) {
-      return InvalidArgument(
-          StrCat("intrinsic: bad metapool handle 0x", std::hex, args[i]));
-    }
-    return pool;
+    return PoolArg(args[i]);
   };
   switch (which) {
     case Intrinsic::kPchkRegObj: {
@@ -448,11 +443,8 @@ Result<uint64_t> Interpreter::RunIntrinsicById(vir::Intrinsic which,
       return uint64_t{0};
     }
     case Intrinsic::kIndirectCheck: {
-      uint64_t module_set = args[1];
-      uint64_t runtime_set = module_set < runtime_set_ids_.size()
-                                 ? runtime_set_ids_[module_set]
-                                 : module_set;
-      SVA_RETURN_IF_ERROR(pools_.IndirectCallCheck(args[0], runtime_set));
+      SVA_RETURN_IF_ERROR(
+          pools_.IndirectCallCheck(args[0], RuntimeSetId(args[1])));
       return uint64_t{0};
     }
     case Intrinsic::kPseudoAlloc:
@@ -467,6 +459,15 @@ Result<uint64_t> Interpreter::RunIntrinsicById(vir::Intrinsic which,
       break;
   }
   return uint64_t{0};
+}
+
+Result<runtime::MetaPool*> Interpreter::PoolArg(uint64_t handle) const {
+  runtime::MetaPool* pool = PoolForHandle(handle);
+  if (pool == nullptr) {
+    return InvalidArgument(
+        StrCat("intrinsic: bad metapool handle 0x", std::hex, handle));
+  }
+  return pool;
 }
 
 Result<uint64_t> Interpreter::AllocaBytes(uint64_t elem_size, uint64_t count) {

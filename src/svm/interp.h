@@ -131,9 +131,18 @@ class Interpreter {
                                 std::span<const uint64_t> args, bool* handled);
   // The id-keyed body of RunIntrinsic: `which` must not be kNone. The
   // threaded tier pre-resolves intrinsic ids at decode time and calls this
-  // directly, so both tiers share one implementation of every check.
+  // for every intrinsic call it does not lower to a check op; its check ops
+  // call the same MetaPoolRuntime entry points, PoolArg and RuntimeSetId.
   Result<uint64_t> RunIntrinsicById(vir::Intrinsic which,
                                     std::span<const uint64_t> args);
+  // The metapool behind a handle argument, or the InvalidArgument both
+  // tiers report for a bad one.
+  Result<runtime::MetaPool*> PoolArg(uint64_t handle) const;
+  // The runtime target set registered for module target set `module_set`.
+  uint64_t RuntimeSetId(uint64_t module_set) const {
+    return module_set < runtime_set_ids_.size() ? runtime_set_ids_[module_set]
+                                                : module_set;
+  }
 
   // Stack/heap allocation shared by both tiers: overflow-checked
   // element*count scaling plus the stack-limit / allocator paths.

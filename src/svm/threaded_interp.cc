@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "src/support/strings.h"
@@ -34,8 +35,8 @@ bool IsTerminator(Opcode op) {
 // never weakens a lowering.
 class Decoder {
  public:
-  Decoder(const Interpreter& interp, const Function& fn)
-      : interp_(interp), fn_(fn) {}
+  Decoder(const Interpreter& interp, const Function& fn, bool enforce_checks)
+      : interp_(interp), fn_(fn), enforce_checks_(enforce_checks) {}
 
   Result<std::unique_ptr<ThreadedCode>> Decode() {
     code_ = std::make_unique<ThreadedCode>();
@@ -520,6 +521,78 @@ class Decoder {
     return OkStatus();
   }
 
+  // Lowers a direct call of a check intrinsic to its check op. Returns
+  // false, encoding nothing, for a form the op does not cover (a non-void
+  // call, a float argument, an unexpected arity), which stays a kCall.
+  Result<bool> EncodeCheck(const vir::CallInst* call, vir::Intrinsic which) {
+    Op op;
+    size_t arity = 0;
+    switch (which) {
+      case vir::Intrinsic::kBoundsCheck:
+        op.kind = OpK::kBoundsCheck;
+        arity = 3;
+        break;
+      case vir::Intrinsic::kBoundsCheckDirect:
+        op.kind = OpK::kBoundsCheckDirect;
+        arity = 3;
+        break;
+      case vir::Intrinsic::kLSCheck:
+        op.kind = OpK::kLSCheck;
+        arity = 2;
+        break;
+      case vir::Intrinsic::kIndirectCheck:
+        op.kind = OpK::kIndirectCheck;
+        arity = 2;
+        break;
+      default:
+        return false;
+    }
+    if (!call->type()->IsVoid() || call->num_args() != arity) {
+      return false;
+    }
+    uint32_t slots[3] = {0, 0, 0};
+    for (size_t i = 0; i < arity; ++i) {
+      if (call->arg(i)->type()->IsFloat()) {
+        return false;
+      }
+      SVA_ASSIGN_OR_RETURN(slots[i], ISlotOf(call->arg(i)));
+    }
+    if (!enforce_checks_) {
+      op.kind = OpK::kNop;
+    } else if (op.kind == OpK::kBoundsCheck || op.kind == OpK::kLSCheck) {
+      // (pool, src, derived) and (pool, address).
+      op.c = slots[0];
+      op.a = slots[1];
+      op.b = slots[2];
+      op.ptr = NewCheckSite(call->arg(0));
+    } else {
+      // (start, derived, end) and (function pointer, target set).
+      op.a = slots[0];
+      op.b = slots[1];
+      op.c = slots[2];
+    }
+    code_->ops.push_back(op);
+    return true;
+  }
+
+  // A check site, resolved now when `handle` is a constant naming a pool.
+  const CheckSite* NewCheckSite(const Value* handle) {
+    auto site = std::make_unique<CheckSite>();
+    std::optional<uint64_t> value;
+    if (handle->value_kind() == vir::ValueKind::kGlobalVariable) {
+      value = interp_.GlobalAddress(handle->name());
+    } else if (handle->value_kind() == vir::ValueKind::kConstantInt) {
+      value = static_cast<const vir::ConstantInt*>(handle)->zext_value();
+    }
+    if (value.has_value()) {
+      site->handle = *value;
+      site->pool = interp_.PoolForHandle(*value);
+    }
+    const CheckSite* ptr = site.get();
+    code_->check_sites.push_back(std::move(site));
+    return ptr;
+  }
+
   Status EncodeCall(const vir::CallInst* call) {
     Op op;
     op.kind = OpK::kCall;
@@ -531,6 +604,11 @@ class Decoder {
       // defined body, then host binding (resolved at call time).
       site->intrinsic = vir::LookupIntrinsic(direct->name());
       if (site->intrinsic != vir::Intrinsic::kNone) {
+        SVA_ASSIGN_OR_RETURN(bool lowered,
+                             EncodeCheck(call, site->intrinsic));
+        if (lowered) {
+          return OkStatus();
+        }
         site->kind = CallSite::Kind::kIntrinsic;
       } else if (!direct->is_declaration()) {
         site->kind = CallSite::Kind::kDirect;
@@ -598,6 +676,7 @@ class Decoder {
 
   const Interpreter& interp_;
   const Function& fn_;
+  const bool enforce_checks_;
   std::unique_ptr<ThreadedCode> code_;
   uint32_t next_int_ = 0;
   uint32_t next_float_ = 0;
@@ -620,7 +699,7 @@ Result<const ThreadedCode*> ThreadedEngine::CodeFor(const Function& fn) {
   if (it != code_.end()) {
     return it->second.get();
   }
-  Decoder decoder(interp_, fn);
+  Decoder decoder(interp_, fn, interp_.options_.enforce_checks);
   auto decoded = decoder.Decode();
   if (!decoded.ok()) {
     return Internal(StrCat("threaded decode of @", fn.name(), ": ",
@@ -693,6 +772,18 @@ ExecResult ThreadedEngine::Execute(const ThreadedCode& code,
     result.status = OkStatus();
     return result;
   };
+  // The metapool of a check site: the cached one while the handle matches,
+  // else a fresh lookup (null for a bad handle).
+  runtime::MetaPoolRuntime& checks = interp_.pools_;
+  auto site_pool = [&](const Op& check) -> runtime::MetaPool* {
+    const CheckSite& site = *static_cast<const CheckSite*>(check.ptr);
+    const uint64_t handle = regs[check.c];
+    if (site.pool == nullptr || site.handle != handle) {
+      site.handle = handle;
+      site.pool = interp_.PoolForHandle(handle);
+    }
+    return site.pool;
+  };
   // Phi elimination, gather-then-scatter so a phi group reading each
   // other's previous values (a swap) sees the simultaneous-assignment
   // semantics SSA requires.
@@ -730,6 +821,8 @@ ExecResult ThreadedEngine::Execute(const ThreadedCode& code,
       &&L_kStoreF64, &&L_kGepStatic, &&L_kGepDyn, &&L_kAtomicLIS,
       &&L_kCmpXchg, &&L_kCall, &&L_kBr, &&L_kBrCond, &&L_kSwitch,
       &&L_kRetVoid, &&L_kRetI, &&L_kRetF, &&L_kUnreachable, &&L_kNop,
+      &&L_kBoundsCheck, &&L_kBoundsCheckDirect, &&L_kLSCheck,
+      &&L_kIndirectCheck,
   };
   static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
                     static_cast<size_t>(OpK::kCount),
@@ -1115,6 +1208,45 @@ ExecResult ThreadedEngine::Execute(const ThreadedCode& code,
         Internal(StrCat("executed unreachable in @", code.fn->name())));
   }
   SVA_CASE(kNop) {
+    SVA_NEXT();
+  }
+  // --- Run-time checks: the same MetaPoolRuntime entry points, statuses and
+  // step (one per check) as the intrinsic call they replace.
+  SVA_CASE(kBoundsCheck) {
+    runtime::MetaPool* pool = site_pool(*op);
+    if (pool == nullptr) {
+      return fail(interp_.PoolArg(regs[op->c]).status());
+    }
+    Status s = checks.BoundsCheck(*pool, regs[op->a], regs[op->b]);
+    if (!s.ok()) {
+      return fail(std::move(s));
+    }
+    SVA_NEXT();
+  }
+  SVA_CASE(kBoundsCheckDirect) {
+    Status s = checks.BoundsCheckDirect(regs[op->a], regs[op->b], regs[op->c]);
+    if (!s.ok()) {
+      return fail(std::move(s));
+    }
+    SVA_NEXT();
+  }
+  SVA_CASE(kLSCheck) {
+    runtime::MetaPool* pool = site_pool(*op);
+    if (pool == nullptr) {
+      return fail(interp_.PoolArg(regs[op->c]).status());
+    }
+    Status s = checks.LoadStoreCheck(*pool, regs[op->a]);
+    if (!s.ok()) {
+      return fail(std::move(s));
+    }
+    SVA_NEXT();
+  }
+  SVA_CASE(kIndirectCheck) {
+    Status s = checks.IndirectCallCheck(regs[op->a],
+                                        interp_.RuntimeSetId(regs[op->b]));
+    if (!s.ok()) {
+      return fail(std::move(s));
+    }
     SVA_NEXT();
   }
 

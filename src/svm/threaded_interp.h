@@ -6,10 +6,13 @@
 // function addresses) are materialized into slot initializers, branch
 // targets become indices into the op stream, phis become per-edge parallel
 // move lists, and call sites are pre-classified (intrinsic id / direct
-// target / host binding / indirect). The stream is executed by
-// computed-goto threaded dispatch (a portable switch loop elsewhere) with the
-// bounds/load-store/indirect-call checks invoked through exactly the same
-// MetaPoolRuntime entry points as the tree-walking interpreter.
+// target / host binding / indirect). The run-time checks the safety compiler
+// inserts are not calls here: each sva.boundscheck, sva.boundscheck.direct,
+// sva.lscheck and sva.indirectcheck becomes its own op with register-slot
+// operands and a pre-resolved metapool (CheckSite), so a check costs one
+// dispatch plus the MetaPoolRuntime entry point the tree-walking interpreter
+// calls too. The stream is executed by computed-goto threaded dispatch (a
+// portable switch loop elsewhere).
 //
 // TCB story: the decoder consumes only bytecode that already passed the
 // structural verifier — the same keying as the interpreter — and performs a
@@ -74,6 +77,13 @@ enum class OpK : uint8_t {
   kRetVoid, kRetI, kRetF,
   kUnreachable,
   kNop,  // sva.writebarrier (counts one step, does nothing).
+  // Run-time checks, decoded from void calls of the check intrinsics whose
+  // arguments are all integers; any other form stays a kCall. With
+  // enforce_checks off they decode to kNop, the step a no-op call costs.
+  kBoundsCheck,        // a = src, b = derived, c = handle, ptr = CheckSite.
+  kBoundsCheckDirect,  // a = start, b = derived, c = end.
+  kLSCheck,            // a = address, c = handle, ptr = CheckSite.
+  kIndirectCheck,      // a = function pointer, b = module target-set id.
   kCount,
 };
 
@@ -86,7 +96,7 @@ struct Op {
   uint32_t b = 0;
   uint32_t c = 0;
   uint64_t imm = 0;    // Immediate: sizes, static GEP offset.
-  const void* ptr = nullptr;  // CallSite* / SwitchTable*.
+  const void* ptr = nullptr;  // CallSite* / SwitchTable* / CheckSite*.
 };
 
 // A CFG edge: jump target plus the phi-elimination moves to perform when
@@ -136,6 +146,17 @@ struct CallSite {
   bool returns_float = false;
 };
 
+// The metapool a kBoundsCheck/kLSCheck site checks against. A constant
+// handle is resolved at decode; any other is resolved on first execution
+// and again whenever the handle value changes. A bad handle leaves `pool`
+// null, and the op then fails with Interpreter::PoolArg's InvalidArgument,
+// as a call would. Mutable because the engine, like its Interpreter, runs
+// on one thread.
+struct CheckSite {
+  mutable uint64_t handle = 0;
+  mutable runtime::MetaPool* pool = nullptr;
+};
+
 struct SwitchTable {
   uint8_t bits = 64;
   uint32_t default_edge = 0;
@@ -152,6 +173,7 @@ struct ThreadedCode {
   std::vector<GepTerm> gep_terms;
   std::vector<std::unique_ptr<CallSite>> call_sites;
   std::vector<std::unique_ptr<SwitchTable>> switch_tables;
+  std::vector<std::unique_ptr<CheckSite>> check_sites;
   // Register files. Slot 0 upward; const_inits are applied at frame entry.
   uint32_t num_int_slots = 0;
   uint32_t num_float_slots = 0;

@@ -825,6 +825,60 @@ TEST(KernelUserAccessTest, StatPathEndsExactlyAtTheUserObjectsEnd) {
   EXPECT_FALSE(h.k().pools().violations().empty());
 }
 
+// The address `path` (NUL included) ends at: the last byte of the task's
+// user object, after growing the break over the whole object.
+uint64_t PathAtTheUserObjectsEnd(KernelHarness& h, const std::string& path) {
+  const uint64_t region =
+      static_cast<uint64_t>(h.k().config().max_user_pages_per_task) *
+      hw::kPageSize;
+  const uint64_t brk = h.Call(Sys::kBrk, 0);
+  h.Call(Sys::kBrk, h.user(region) - brk);  // Whole object touchable.
+  const uint64_t at = h.user(region - path.size() - 1);
+  EXPECT_TRUE(h.k().PokeUserString(at, path).ok());
+  return at;
+}
+
+// A path with no NUL in the object's last four bytes runs off the object.
+uint64_t UnterminatedPathAtTheUserObjectsEnd(KernelHarness& h) {
+  const uint64_t region =
+      static_cast<uint64_t>(h.k().config().max_user_pages_per_task) *
+      hw::kPageSize;
+  const uint64_t tail = h.user(region - 4);
+  EXPECT_TRUE(h.k().PokeUser(tail, "/tmp", 4).ok());
+  return tail;
+}
+
+TEST(KernelUserAccessTest, OpenPathEndsExactlyAtTheUserObjectsEnd) {
+  KernelHarness h(KernelMode::kSvaSafe);
+  CreateFile(h, "/tmp/edge", 3);
+  const uint64_t at = PathAtTheUserObjectsEnd(h, "/tmp/edge");
+  const uint64_t fd = h.Call(Sys::kOpen, at, 0);
+  ASSERT_LT(fd, 1024u);
+  EXPECT_EQ(h.Call(Sys::kClose, fd), 0u);
+  // Creation takes the same path read.
+  const uint64_t created = h.Call(Sys::kOpen, at + 5, 1);  // "edge"
+  ASSERT_LT(created, 1024u);
+  EXPECT_EQ(h.Call(Sys::kClose, created), 0u);
+  EXPECT_TRUE(h.k().pools().violations().empty());
+  auto r = h.k().Syscall(Sys::kOpen, UnterminatedPathAtTheUserObjectsEnd(h),
+                         1);
+  EXPECT_EQ(r.status().code(), StatusCode::kSafetyViolation);
+  EXPECT_FALSE(h.k().pools().violations().empty());
+}
+
+TEST(KernelUserAccessTest, UnlinkPathEndsExactlyAtTheUserObjectsEnd) {
+  KernelHarness h(KernelMode::kSvaSafe);
+  CreateFile(h, "/tmp/edge", 3);
+  const uint64_t at = PathAtTheUserObjectsEnd(h, "/tmp/edge");
+  EXPECT_EQ(h.Call(Sys::kUnlink, at), 0u);
+  EXPECT_GT(h.Call(Sys::kStat, at), uint64_t{1} << 60);  // -ENOENT.
+  EXPECT_TRUE(h.k().pools().violations().empty());
+  auto r =
+      h.k().Syscall(Sys::kUnlink, UnterminatedPathAtTheUserObjectsEnd(h));
+  EXPECT_EQ(r.status().code(), StatusCode::kSafetyViolation);
+  EXPECT_FALSE(h.k().pools().violations().empty());
+}
+
 TEST(KernelUserAccessTest, StatTruncatesAPathWithNoNulAtTheMaximum) {
   KernelHarness h(KernelMode::kSvaSafe);
   // open also reads at most kMaxPathLength bytes, so it creates the file

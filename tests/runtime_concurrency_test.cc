@@ -446,5 +446,82 @@ TEST(RuntimeConcurrencyTest, CrossCpuAllocFreeKeepsLiveSetsExact) {
   }
 }
 
+TEST(RuntimeConcurrencyTest, CheckCountersStayExactOnSharedAndUnboundCpus) {
+  // Four threads all bound to CPU 0 and two never bound (they read CPU 0
+  // too): six writers on one CPU id. Per-thread single-writer shards keep
+  // every count exact, and stats() still sees the counts of threads that
+  // have been joined.
+  MetaPoolRuntime rt;
+  MetaPool* pool = rt.CreatePool("shared_cpu", true, 64, /*complete=*/true);
+  constexpr unsigned kBound = 4;
+  constexpr unsigned kUnbound = 2;
+  constexpr uint64_t kObjects = 16;
+  for (unsigned t = 0; t < kBound + kUnbound; ++t) {
+    for (uint64_t i = 0; i < kObjects; ++i) {
+      ASSERT_TRUE(
+          rt.RegisterObject(*pool, RegionBase(t) + i * 0x1000, 64).ok());
+    }
+  }
+  rt.ResetStats();
+  constexpr uint64_t kIters = 4000;
+  auto work = [&](unsigned t) {
+    for (uint64_t i = 0; i < kIters; ++i) {
+      const uint64_t base = RegionBase(t) + (i % kObjects) * 0x1000;
+      EXPECT_TRUE(rt.BoundsCheck(*pool, base, base + 63).ok());
+      EXPECT_TRUE(rt.BoundsCheckDirect(base, base + 8, base + 64).ok());
+      EXPECT_TRUE(rt.LoadStoreCheck(*pool, base + (i % 64)).ok());
+    }
+  };
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < kBound; ++t) {
+    workers.emplace_back([&work, t] {
+      smp::ScopedCpu bind(0);
+      work(t);
+    });
+  }
+  for (unsigned t = kBound; t < kBound + kUnbound; ++t) {
+    workers.emplace_back([&work, t] { work(t); });
+  }
+  for (std::thread& w : workers) {
+    w.join();
+  }
+  constexpr uint64_t kThreadsRun = kBound + kUnbound;
+  const CheckStats& stats = rt.stats();
+  EXPECT_EQ(stats.bounds_performed, kThreadsRun * kIters * 2);
+  EXPECT_EQ(stats.loadstore_performed, kThreadsRun * kIters);
+  EXPECT_EQ(stats.total_failed(), 0u);
+  // Every bounds and load-store check made one cache lookup on this splay
+  // pool; the direct check makes none.
+  EXPECT_EQ(pool->cache_hits() + pool->cache_misses(),
+            kThreadsRun * kIters * 2);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, kThreadsRun * kIters * 2);
+  EXPECT_TRUE(rt.violations().empty());
+}
+
+TEST(RuntimeConcurrencyTest, ThreadsThatComeAndGoReuseCounterShards) {
+  // Sixty short-lived workers, two at a time, as a syscall benchmark
+  // spawns them: each exiting thread hands its shard back with its counts,
+  // so the registry stays at the peak number of concurrent checkers and
+  // the totals stay exact.
+  MetaPoolRuntime rt;
+  MetaPool* pool = rt.CreatePool("churn", true, 64, /*complete=*/true);
+  ASSERT_TRUE(rt.RegisterObject(*pool, RegionBase(0), 64).ok());
+  rt.ResetStats();
+  constexpr unsigned kRounds = 30;
+  constexpr uint64_t kChecks = 100;
+  for (unsigned round = 0; round < kRounds; ++round) {
+    RunOnThreads(2, [&](unsigned) {
+      for (uint64_t i = 0; i < kChecks; ++i) {
+        EXPECT_TRUE(rt.LoadStoreCheck(*pool, RegionBase(0) + i % 64).ok());
+      }
+    });
+  }
+  // The registering main thread plus two concurrent workers.
+  EXPECT_LE(rt.stats_shard_count(), 3u);
+  EXPECT_EQ(rt.stats().loadstore_performed, kRounds * 2 * kChecks);
+  EXPECT_EQ(pool->cache_hits() + pool->cache_misses(),
+            kRounds * 2 * kChecks);
+}
+
 }  // namespace
 }  // namespace sva::runtime

@@ -19,6 +19,7 @@
 #include "src/smp/lock_order.h"
 #include "src/smp/percpu.h"
 #include "src/smp/sync.h"
+#include "src/smp/thread_shards.h"
 #include "src/smp/vcpu.h"
 
 namespace sva::smp {
@@ -94,6 +95,74 @@ TEST(ShardedCounterTest, SumsAcrossConcurrentShards) {
 
 // A live count that rises on one CPU and falls on another (a kmalloc freed
 // by a different CPU): the shards wrap below zero, the sum stays exact.
+struct TwoCounters {
+  uint64_t a = 0;
+  uint64_t b = 0;
+};
+
+uint64_t SumOfA(const ThreadShards<TwoCounters>& shards) {
+  uint64_t total = 0;
+  shards.ForEach([&total](const TwoCounters& c) { total += LoadCounter(c.a); });
+  return total;
+}
+
+TEST(ThreadShardsTest, EachThreadWritesItsOwnShard) {
+  ThreadShards<TwoCounters> shards;
+  Bump(shards.Local().a);
+  EXPECT_EQ(&shards.Local(), &shards.Local());
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&shards, &arrived] {
+      ScopedCpu bind(0);  // All on one CPU id: still one shard each.
+      Bump(shards.Local().a);
+      // Hold the shard until every worker has one.
+      arrived.fetch_add(1);
+      while (arrived.load() < 4) {
+        std::this_thread::yield();
+      }
+      for (int i = 1; i < 1000; ++i) {
+        Bump(shards.Local().a);
+        Bump(shards.Local().b, 2);
+      }
+    });
+  }
+  for (std::thread& w : workers) {
+    w.join();
+  }
+  EXPECT_EQ(SumOfA(shards), 4001u);
+  EXPECT_EQ(shards.shard_count(), 5u);
+}
+
+TEST(ThreadShardsTest, AnExitedThreadsShardKeepsItsCountsForTheNext) {
+  ThreadShards<TwoCounters> shards;
+  for (int round = 0; round < 20; ++round) {
+    std::thread([&shards] { Bump(shards.Local().a, 3); }).join();
+  }
+  EXPECT_EQ(SumOfA(shards), 60u);
+  EXPECT_EQ(shards.shard_count(), 1u);
+  shards.ForEachMutable([](TwoCounters& c) { StoreCounter(c.a, 0); });
+  EXPECT_EQ(SumOfA(shards), 0u);
+}
+
+TEST(ThreadShardsTest, ManySetsOnOneThreadKeepTheirOwnShards) {
+  // More live sets than the thread's lookup table has entries: colliding
+  // sets evict each other's entries and find their shard again.
+  std::vector<std::unique_ptr<ThreadShards<TwoCounters>>> sets;
+  for (int i = 0; i < 200; ++i) {
+    sets.push_back(std::make_unique<ThreadShards<TwoCounters>>());
+  }
+  for (int pass = 0; pass < 3; ++pass) {
+    for (auto& set : sets) {
+      Bump(set->Local().a);
+    }
+  }
+  for (auto& set : sets) {
+    EXPECT_EQ(SumOfA(*set), 3u);
+    EXPECT_EQ(set->shard_count(), 1u);
+  }
+}
+
 TEST(ShardedCounterTest, SubOnAnotherCpuKeepsTheSumExact) {
   ShardedCounter counter;
   {

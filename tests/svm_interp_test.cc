@@ -1,3 +1,7 @@
+#include <fstream>
+#include <new>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/support/strings.h"
@@ -8,6 +12,19 @@
 
 namespace sva::svm {
 namespace {
+
+// This process's resident set in kB, from /proc/self/status; -1 if the
+// file or its VmRSS line is missing.
+long VmRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stol(line.substr(6));
+    }
+  }
+  return -1;
+}
 
 // Parses, verifies, and prepares a module for execution.
 struct Harness {
@@ -517,6 +534,25 @@ entry:
   // the copy routine is outside the analyzed bytecode.
   r = h.interp->Run("read_user", {user, 4096});
   EXPECT_TRUE(r.status.ok());
+}
+TEST(AddressSpaceTest, ArenaIsLazilyZeroFilled) {
+  const long before = VmRssKb();
+  ASSERT_GT(before, 0);
+  constexpr uint64_t kSize = 1ull << 30;
+  AddressSpace space(kSize);
+  EXPECT_LT(VmRssKb() - before, 16 * 1024) << "a 1 GiB arena was committed";
+  EXPECT_EQ(space.size(), kSize);
+  EXPECT_EQ(*space.Read(kSize - 8, 8), 0u);
+  ASSERT_TRUE(space.Write(512ull << 20, 8, 0x5A5A).ok());
+  EXPECT_EQ(*space.Read(512ull << 20, 8), 0x5A5Au);
+  EXPECT_FALSE(space.Read(kSize - 4, 8).ok());
+  uint64_t region = space.AllocateRegion(4096, 4096);
+  ASSERT_NE(region, 0u);
+  EXPECT_EQ(*space.Read(region, 8), 0u);
+}
+
+TEST(AddressSpaceTest, ArenaThatCannotBeMappedFailsConstruction) {
+  EXPECT_THROW(AddressSpace(uint64_t{1} << 62), std::bad_alloc);
 }
 
 // Parameterized sweep: shift semantics across widths.

@@ -616,6 +616,288 @@ TEST(TierParity, KernelCorpusEntryPointsAgree) {
   }
 }
 
+// --- Run-time check ops -------------------------------------------------------
+//
+// The threaded tier decodes each void, integer-argument call of
+// sva.boundscheck, sva.boundscheck.direct, sva.lscheck and sva.indirectcheck
+// into a dedicated check op. These programs call the intrinsics directly
+// (no safety compiler), so each check's outcome is fixed by the arguments.
+
+// Runs `entry(args)` on a fresh Interpreter over an uninstrumented module.
+Observed RunChecksOnTier(const char* text, const std::string& entry,
+                         const std::vector<uint64_t>& args, ExecTier tier,
+                         bool enforce_checks = true) {
+  Observed obs;
+  auto parsed = vir::ParseModule(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) {
+    return obs;
+  }
+  std::unique_ptr<vir::Module> module = std::move(*parsed);
+  Status verified = vir::VerifyModule(*module);
+  EXPECT_TRUE(verified.ok()) << verified.ToString();
+  runtime::MetaPoolRuntime pools;
+  InterpOptions options;
+  options.tier = tier;
+  options.enforce_checks = enforce_checks;
+  Interpreter interp(*module, pools, options);
+  Status init = interp.Initialize();
+  EXPECT_TRUE(init.ok()) << init.ToString();
+  ExecResult r = interp.Run(entry, args);
+  obs.status = r.status.ToString();
+  obs.value = r.status.ok() ? r.value : 0;
+  obs.steps = r.steps;
+  obs.checks = pools.stats();
+  return obs;
+}
+
+void ExpectSameStats(const runtime::CheckStats& a,
+                     const runtime::CheckStats& b, const std::string& what) {
+  EXPECT_EQ(a.bounds_performed, b.bounds_performed) << what;
+  EXPECT_EQ(a.bounds_failed, b.bounds_failed) << what;
+  EXPECT_EQ(a.loadstore_performed, b.loadstore_performed) << what;
+  EXPECT_EQ(a.loadstore_failed, b.loadstore_failed) << what;
+  EXPECT_EQ(a.indirect_performed, b.indirect_performed) << what;
+  EXPECT_EQ(a.indirect_failed, b.indirect_failed) << what;
+  EXPECT_EQ(a.frees_checked, b.frees_checked) << what;
+  EXPECT_EQ(a.frees_failed, b.frees_failed) << what;
+  EXPECT_EQ(a.reduced_checks, b.reduced_checks) << what;
+  EXPECT_EQ(a.registrations, b.registrations) << what;
+  EXPECT_EQ(a.drops, b.drops) << what;
+  EXPECT_EQ(a.cache_hits, b.cache_hits) << what;
+  EXPECT_EQ(a.cache_misses, b.cache_misses) << what;
+  EXPECT_EQ(a.splay_comparisons, b.splay_comparisons) << what;
+  EXPECT_EQ(a.splay_rotations, b.splay_rotations) << what;
+}
+
+// Runs on both tiers; returns the threaded observation after asserting it
+// matches the interpreter's in every field.
+Observed ExpectCheckParity(const char* text, const std::string& entry,
+                           const std::vector<uint64_t>& args,
+                           const std::string& what,
+                           bool enforce_checks = true) {
+  Observed interp =
+      RunChecksOnTier(text, entry, args, ExecTier::kInterp, enforce_checks);
+  const uint64_t interp_fns = InterpFns();
+  Observed threaded =
+      RunChecksOnTier(text, entry, args, ExecTier::kThreaded, enforce_checks);
+  EXPECT_EQ(InterpFns(), interp_fns) << what;
+  EXPECT_EQ(interp.status, threaded.status) << what;
+  EXPECT_EQ(interp.value, threaded.value) << what;
+  EXPECT_EQ(interp.steps, threaded.steps) << what;
+  ExpectSameStats(interp.checks, threaded.checks, what);
+  return threaded;
+}
+
+// One function per check kind, each passing or failing on its argument,
+// plus handles that name no metapool.
+constexpr const char* kCheckProgram = R"(
+module "check_ops"
+metapool MP1 complete
+metapool MP2 complete
+targetset 0 = @inc
+declare i8* @kmalloc(i64)
+
+define i64 @inc(i64 %x) {
+entry:
+  %r = add i64 %x, 1
+  ret i64 %r
+}
+define i64 @dec(i64 %x) {
+entry:
+  %r = sub i64 %x, 1
+  ret i64 %r
+}
+
+define i64 @bounds(i64 %idx) {
+entry:
+  %p = call i8* @kmalloc(i64 16)
+  call void @pchk.reg.obj(%sva.metapool* @MP1, i8* %p, i64 16)
+  %q = getelementptr i8* %p, i64 %idx
+  call void @sva.boundscheck(%sva.metapool* @MP1, i8* %p, i8* %q)
+  ret i64 %idx
+}
+
+define i64 @direct(i64 %idx) {
+entry:
+  %p = call i8* @kmalloc(i64 16)
+  %end = getelementptr i8* %p, i64 16
+  %q = getelementptr i8* %p, i64 %idx
+  call void @sva.boundscheck.direct(i8* %p, i8* %q, i8* %end)
+  ret i64 %idx
+}
+
+define i64 @ls(i64 %off) {
+entry:
+  %p = call i8* @kmalloc(i64 16)
+  call void @pchk.reg.obj(%sva.metapool* @MP1, i8* %p, i64 16)
+  %q = getelementptr i8* %p, i64 %off
+  call void @sva.lscheck(%sva.metapool* @MP1, i8* %q)
+  ret i64 %off
+}
+
+define i64 @indirect(i64 %which) {
+entry:
+  %is_inc = icmp eq i64 %which, 0
+  %fp = select i1 %is_inc, i64 (i64)* @inc, i64 (i64)* @dec
+  %fpc = bitcast i64 (i64)* %fp to i8*
+  call void @sva.indirectcheck(i8* %fpc, i64 0)
+  %r = call i64 %fp(i64 41)
+  ret i64 %r
+}
+
+define i64 @null_handle(i64 %x) {
+entry:
+  %p = call i8* @kmalloc(i64 16)
+  call void @sva.lscheck(%sva.metapool* null, i8* %p)
+  ret i64 %x
+}
+
+define i64 @dynamic_handle(i64 %h) {
+entry:
+  %p = call i8* @kmalloc(i64 16)
+  %mp = inttoptr i64 %h to %sva.metapool*
+  %q = getelementptr i8* %p, i64 4
+  call void @sva.boundscheck(%sva.metapool* %mp, i8* %p, i8* %q)
+  ret i64 %h
+}
+
+define i64 @alternating_handles(i64 %n) {
+entry:
+  %p = call i8* @kmalloc(i64 16)
+  call void @pchk.reg.obj(%sva.metapool* @MP1, i8* %p, i64 16)
+  %r = call i8* @kmalloc(i64 16)
+  call void @pchk.reg.obj(%sva.metapool* @MP2, i8* %r, i64 16)
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i2, %loop ]
+  %odd = and i64 %i, 1
+  %use2 = icmp eq i64 %odd, 1
+  %mp = select i1 %use2, %sva.metapool* @MP2, %sva.metapool* @MP1
+  %obj = select i1 %use2, i8* %r, i8* %p
+  call void @sva.lscheck(%sva.metapool* %mp, i8* %obj)
+  %i2 = add i64 %i, 1
+  %done = icmp uge i64 %i2, %n
+  br i1 %done, label %exit, label %loop
+exit:
+  call void @sva.lscheck(%sva.metapool* @MP2, i8* %p)
+  ret i64 %i2
+}
+)";
+
+TEST(TierParity, FailingCheckOpsReportTheSameViolation) {
+  struct Case {
+    const char* entry;
+    uint64_t pass;
+    uint64_t fail;
+  };
+  for (const Case& c : {Case{"bounds", 15, 16}, Case{"direct", 0, 16},
+                        Case{"ls", 8, 17}, Case{"indirect", 0, 1}}) {
+    Observed ok = ExpectCheckParity(kCheckProgram, c.entry, {c.pass},
+                                    StrCat(c.entry, " passing"));
+    EXPECT_EQ(ok.status, "OK") << c.entry;
+    Observed bad = ExpectCheckParity(kCheckProgram, c.entry, {c.fail},
+                                     StrCat(c.entry, " failing"));
+    EXPECT_NE(bad.status.find("SAFETY_VIOLATION"), std::string::npos)
+        << c.entry << ": " << bad.status;
+    EXPECT_EQ(bad.checks.total_failed(), 1u) << c.entry;
+  }
+}
+
+TEST(TierParity, BadMetapoolHandleIsTheSameInvalidArgument) {
+  Observed null_handle =
+      ExpectCheckParity(kCheckProgram, "null_handle", {0}, "null handle");
+  EXPECT_EQ(null_handle.status,
+            "INVALID_ARGUMENT: intrinsic: bad metapool handle 0x0");
+  Observed bogus = ExpectCheckParity(kCheckProgram, "dynamic_handle",
+                                     {0x1234}, "run-time bad handle");
+  EXPECT_EQ(bogus.status,
+            "INVALID_ARGUMENT: intrinsic: bad metapool handle 0x1234");
+}
+
+TEST(TierParity, CheckSitesFollowAChangingHandle) {
+  // One lscheck site sees MP1 and MP2 in turn, then a constant-handle site
+  // checks an MP1 object against MP2 and fails.
+  Observed r = ExpectCheckParity(kCheckProgram, "alternating_handles", {9},
+                                 "alternating handles");
+  EXPECT_NE(r.status.find("load-store check failed in pool MP2"),
+            std::string::npos)
+      << r.status;
+  EXPECT_EQ(r.checks.loadstore_performed, 10u);
+  EXPECT_EQ(r.checks.loadstore_failed, 1u);
+}
+
+TEST(TierParity, DisabledChecksAreNoOpsWithTheSameSteps) {
+  for (const char* entry : {"bounds", "direct", "ls", "indirect",
+                            "null_handle", "dynamic_handle",
+                            "alternating_handles"}) {
+    // Arguments that fail (or would fail) every check when enforced.
+    Observed r = ExpectCheckParity(kCheckProgram, entry, {16},
+                                   StrCat(entry, " unchecked"),
+                                   /*enforce_checks=*/false);
+    EXPECT_EQ(r.status, "OK") << entry;
+    EXPECT_EQ(r.checks.total_performed(), 0u) << entry;
+    EXPECT_GT(r.steps, 0u) << entry;
+  }
+}
+
+TEST(TierParity, CorpusCheckStatsAreIdenticalPerTier) {
+  // A fixed sequence of corpus entry points, each check kind among them,
+  // on one VM per tier: MetaPoolRuntime::stats() afterwards must match in
+  // every field, the lookup cache's hits and misses included.
+  auto run = [](ExecTier tier) {
+    Observed obs;
+    auto parsed = vir::ParseModule(corpus::KernelCorpusText(true));
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (!parsed.ok()) {
+      return obs;
+    }
+    auto module = std::move(*parsed);
+    safety::SafetyCompilerOptions copts;
+    copts.analysis = corpus::CorpusConfig(true);
+    EXPECT_TRUE(safety::RunSafetyCompiler(*module, copts).ok());
+    SvmOptions options;
+    options.interp.tier = tier;
+    SecureVirtualMachine vm(options);
+    auto loaded = vm.LoadModule(std::move(module));
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    if (!loaded.ok()) {
+      return obs;
+    }
+    LoadedModule& m = **loaded;
+    auto call = [&](const std::string& name, std::vector<uint64_t> args) {
+      ExecResult r = m.Run(name, args);
+      obs.status += name + ": " + r.status.ToString() + "\n";
+      obs.steps += r.steps;
+      return r.status.ok() ? r.value : 0;
+    };
+    call("boot", {});
+    call("fs_setup_ops", {});
+    const uint64_t task = call("task_create", {1 << 20});
+    const uint64_t inode = call("inode_alloc", {256});
+    const uint64_t file = call("file_open", {inode});
+    const uint64_t user = m.interpreter().memory().user_base();
+    for (uint64_t i = 0; i < 4; ++i) {
+      obs.value += call("file_read", {file, user + 0x200, 64 + 40 * i});
+      obs.value += call("task_tick", {task});
+      obs.value += call("net_validate", {i});
+      obs.value += call("drv_ioctl", {1, i});
+      obs.value += call("net_rx", {user + 0x100, 64});
+    }
+    obs.checks = m.pools().stats();
+    return obs;
+  };
+  Observed interp = run(ExecTier::kInterp);
+  Observed threaded = run(ExecTier::kThreaded);
+  EXPECT_EQ(interp.status, threaded.status);
+  EXPECT_EQ(interp.value, threaded.value);
+  EXPECT_EQ(interp.steps, threaded.steps);
+  EXPECT_GT(threaded.checks.bounds_performed, 0u);
+  EXPECT_GT(threaded.checks.loadstore_performed, 0u);
+  EXPECT_GT(threaded.checks.cache_hits, 0u);
+  ExpectSameStats(interp.checks, threaded.checks, "corpus sequence");
+}
+
 // --- Concurrency: replicas on both tiers at once -----------------------------
 
 TEST(TierParity, ConcurrentReplicasAgreeAcrossTiers) {
