@@ -6,7 +6,12 @@
 //  * static elision of provably-safe GEP checks — optimization 3;
 //  * skipping load-store checks on type-homogeneous pools — the core
 //    SAFECode design choice that makes partitioning pay off;
-//  * splay lookup cost as the pool's object count grows.
+//  * splay lookup cost as the pool's object count grows;
+//  * check elimination (Section 7.1.3 optimization 2 and two classic
+//    redundancy steps): one row per step turned off, with the static count
+//    each step removed as its own column (ranges = per-iteration checks
+//    replaced by preheader range checks, hoisted, dups) and the checks one
+//    run performs (checks/run).
 //
 // Uses google-benchmark.
 #include <benchmark/benchmark.h>
@@ -195,6 +200,115 @@ void BM_PipelineNoTHElision(benchmark::State& state) {
   RunPipeline(state, options, /*enforce=*/true);
 }
 BENCHMARK(BM_PipelineNoTHElision);
+
+// A byte-summing loop over a kmalloc'd buffer that also bumps a non-TH
+// global each iteration: every elimination step has work here.
+constexpr const char* kLoopWorkload = R"(
+module "ablate_loop"
+declare i8* @kmalloc(i64)
+declare void @kfree(i8*)
+global @ticks : i64
+
+define i64 @sum(i8* %buf, i64 %len) {
+entry:
+  %zero = icmp eq i64 %len, 0
+  br i1 %zero, label %done, label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i2, %loop ]
+  %acc = phi i64 [ 0, %entry ], [ %acc2, %loop ]
+  %slot = getelementptr i8* %buf, i64 %i
+  %v = load i8, i8* %slot
+  %v64 = zext i8 %v to i64
+  %acc2 = add i64 %acc, %v64
+  %t = load i64, i64* @ticks
+  %t2 = add i64 %t, 1
+  store i64 %t2, i64* @ticks
+  %i2 = add i64 %i, 1
+  %more = icmp ult i64 %i2, %len
+  br i1 %more, label %loop, label %done
+done:
+  %r = phi i64 [ 0, %entry ], [ %acc2, %loop ]
+  ret i64 %r
+}
+
+define i64 @churn(i64 %len) {
+entry:
+  %tb = bitcast i64* @ticks to i8*
+  store i8 0, i8* %tb
+  %buf = call i8* @kmalloc(i64 256)
+  %r = call i64 @sum(i8* %buf, i64 %len)
+  call void @kfree(i8* %buf)
+  ret i64 %r
+}
+)";
+
+void RunLoopPipeline(benchmark::State& state,
+                     safety::CheckEliminationOptions elimination) {
+  auto m = vir::ParseModule(kLoopWorkload);
+  if (!m.ok()) {
+    state.SkipWithError("parse failed");
+    return;
+  }
+  safety::SafetyCompilerOptions options;
+  options.analysis.whole_program = true;
+  options.analysis.entry_points = {"churn"};
+  options.elimination = elimination;
+  auto report = safety::RunSafetyCompiler(**m, options);
+  if (!report.ok()) {
+    state.SkipWithError("compile failed");
+    return;
+  }
+  svm::SecureVirtualMachine vm;
+  auto loaded = vm.LoadModule(std::move(m).value());
+  if (!loaded.ok()) {
+    state.SkipWithError("load failed");
+    return;
+  }
+  const uint64_t before = (*loaded)->pools().stats().total_performed();
+  uint64_t runs = 0;
+  for (auto _ : state) {
+    auto r = (*loaded)->Run("churn", {256});
+    if (!r.status.ok()) {
+      state.SkipWithError("run failed");
+      return;
+    }
+    benchmark::DoNotOptimize(r.value);
+    ++runs;
+  }
+  const safety::CheckEliminationReport& e = report->eliminated;
+  state.counters["ranges"] = static_cast<double>(e.range_covered);
+  state.counters["hoisted"] = static_cast<double>(e.hoisted);
+  state.counters["dups"] = static_cast<double>(e.duplicates);
+  state.counters["checks/run"] =
+      static_cast<double>((*loaded)->pools().stats().total_performed() -
+                          before) /
+      static_cast<double>(runs == 0 ? 1 : runs);
+}
+
+void BM_LoopEliminationAll(benchmark::State& state) {
+  RunLoopPipeline(state, {});
+}
+BENCHMARK(BM_LoopEliminationAll);
+
+void BM_LoopEliminationNoRanges(benchmark::State& state) {
+  RunLoopPipeline(state, {.monotonic_ranges = false});
+}
+BENCHMARK(BM_LoopEliminationNoRanges);
+
+void BM_LoopEliminationNoHoist(benchmark::State& state) {
+  RunLoopPipeline(state, {.hoist_invariant = false});
+}
+BENCHMARK(BM_LoopEliminationNoHoist);
+
+void BM_LoopEliminationNoDuplicates(benchmark::State& state) {
+  RunLoopPipeline(state, {.dominated_duplicates = false});
+}
+BENCHMARK(BM_LoopEliminationNoDuplicates);
+
+void BM_LoopEliminationOff(benchmark::State& state) {
+  RunLoopPipeline(state, {false, false, false});
+}
+BENCHMARK(BM_LoopEliminationOff);
 
 }  // namespace
 }  // namespace sva::bench

@@ -7,6 +7,7 @@
 #include "src/analysis/pointsto.h"
 #include "src/support/strings.h"
 #include "src/vir/builder.h"
+#include "src/vir/check_analysis.h"
 #include "src/vir/instructions.h"
 #include "src/vir/intrinsics.h"
 
@@ -66,6 +67,7 @@ class SafetyCompiler {
     InsertBoundsChecks();
     InsertLoadStoreChecks();
     InsertIndirectChecks();
+    report_.eliminated = EliminateChecks(module_, options_.elimination);
     return report_;
   }
 
@@ -181,20 +183,6 @@ class SafetyCompiler {
   const vir::MetapoolDecl* DeclFor(const Value* v) const {
     const std::string& name = module_.MetapoolOf(v);
     return name.empty() ? nullptr : module_.FindMetapool(name);
-  }
-
-  // Casts `v` to i8*, annotating the cast with v's pool.
-  Value* CastToI8Ptr(IRBuilder& b, Value* v) {
-    const PointerType* i8p = module_.types().PointerTo(module_.types().I8());
-    if (v->type() == i8p) {
-      return v;
-    }
-    Value* cast = b.CreateBitcast(v, i8p);
-    const std::string& pool = module_.MetapoolOf(v);
-    if (!pool.empty()) {
-      module_.AnnotateValue(cast, pool);
-    }
-    return cast;
   }
 
   Value* ToI64(IRBuilder& b, Value* v) {
@@ -314,7 +302,8 @@ class SafetyCompiler {
               size = b.CreateMul(ToI64(b, malloc_inst->count()),
                                  module_.GetInt64(elem));
             }
-            b.CreateCall(reg, {HandleFor(pool), CastToI8Ptr(b, inst), size});
+            b.CreateCall(reg, {HandleFor(pool),
+                               CastToI8Ptr(module_, b, inst), size});
             ++report_.reg_obj;
             RecordRegisteredSite(inst);
           } else if (auto* free_inst = dynamic_cast<FreeInst*>(inst)) {
@@ -326,7 +315,7 @@ class SafetyCompiler {
             IRBuilder b(module_);
             b.SetInsertPoint(bb.get(), bb->IndexOf(inst));
             b.CreateCall(drop, {HandleFor(pool),
-                                CastToI8Ptr(b, free_inst->pointer())});
+                                CastToI8Ptr(module_, b, free_inst->pointer())});
             ++report_.drop_obj;
           } else if (auto* call = dynamic_cast<CallInst*>(inst)) {
             Function* callee = call->called_function();
@@ -357,12 +346,14 @@ class SafetyCompiler {
                         module_.types().I64(),
                         {module_.types().PointerTo(module_.types().I8())}));
                 Value* desc = call->arg(static_cast<size_t>(info->pool_arg));
-                size = b.CreateCall(size_fn, {CastToI8Ptr(b, desc)});
+                size = b.CreateCall(size_fn,
+                                    {CastToI8Ptr(module_, b, desc)});
               } else {
                 size = module_.GetInt64(0);
               }
               b.CreateCall(reg,
-                           {HandleFor(pool), CastToI8Ptr(b, inst), size});
+                           {HandleFor(pool), CastToI8Ptr(module_, b, inst),
+                            size});
               ++report_.reg_obj;
               RecordRegisteredSite(inst);
             } else if (FreeFnByName(callee->name()) != nullptr) {
@@ -378,7 +369,8 @@ class SafetyCompiler {
               }
               IRBuilder b(module_);
               b.SetInsertPoint(bb.get(), bb->IndexOf(inst));
-              b.CreateCall(drop, {HandleFor(pool), CastToI8Ptr(b, ptr)});
+              b.CreateCall(drop, {HandleFor(pool),
+                                  CastToI8Ptr(module_, b, ptr)});
               ++report_.drop_obj;
             }
           }
@@ -437,7 +429,7 @@ class SafetyCompiler {
     b.SetInsertPoint(init->entry(), 0);
     for (GlobalVariable* gv : to_register) {
       const std::string& pool = module_.MetapoolOf(gv);
-      b.CreateCall(reg, {HandleFor(pool), CastToI8Ptr(b, gv),
+      b.CreateCall(reg, {HandleFor(pool), CastToI8Ptr(module_, b, gv),
                          module_.GetInt64(vir::SizeOf(gv->value_type()))});
       ++report_.reg_obj;
       ++report_.global_registrations;
@@ -473,7 +465,8 @@ class SafetyCompiler {
         } else {
           size = b.CreateMul(ToI64(b, a->count()), module_.GetInt64(elem));
         }
-        b.CreateCall(reg, {HandleFor(pool), CastToI8Ptr(b, a), size});
+        b.CreateCall(reg,
+                     {HandleFor(pool), CastToI8Ptr(module_, b, a), size});
         ++report_.reg_obj;
         ++report_.stack_registrations;
         // Deregister on every return (Section 4.1: stack objects are
@@ -483,7 +476,8 @@ class SafetyCompiler {
           if (term != nullptr && term->opcode() == Opcode::kRet) {
             IRBuilder rb(module_);
             rb.SetInsertPoint(bb.get(), bb->IndexOf(term));
-            rb.CreateCall(drop, {HandleFor(pool), CastToI8Ptr(rb, a)});
+            rb.CreateCall(drop,
+                          {HandleFor(pool), CastToI8Ptr(module_, rb, a)});
             ++report_.drop_obj;
           }
         }
@@ -531,34 +525,6 @@ class SafetyCompiler {
     }
   }
 
-  // True if every index is a constant provably inside the declared type.
-  bool StaticallySafe(const GetElementPtrInst* gep) {
-    const auto* lead = dynamic_cast<const ConstantInt*>(gep->index(0));
-    if (lead == nullptr || lead->zext_value() != 0) {
-      return false;
-    }
-    const Type* current =
-        static_cast<const PointerType*>(gep->base()->type())->pointee();
-    for (size_t i = 1; i < gep->num_indices(); ++i) {
-      const auto* ci = dynamic_cast<const ConstantInt*>(gep->index(i));
-      if (current->IsStruct()) {
-        // Struct field indices are constant and range-checked by the
-        // structural verifier.
-        current = static_cast<const vir::StructType*>(current)
-                      ->fields()[ci->zext_value()];
-      } else if (current->IsArray()) {
-        const auto* at = static_cast<const vir::ArrayType*>(current);
-        if (ci == nullptr || ci->zext_value() >= at->length()) {
-          return false;
-        }
-        current = at->element();
-      } else {
-        return false;
-      }
-    }
-    return true;
-  }
-
   void InsertBoundsChecks() {
     Function* boundscheck =
         DeclareIntrinsic(module_, vir::Intrinsic::kBoundsCheck);
@@ -585,7 +551,8 @@ class SafetyCompiler {
           if (decl == nullptr) {
             continue;
           }
-          if (options_.elide_static_safe_bounds && StaticallySafe(gep)) {
+          if (options_.elide_static_safe_bounds &&
+              vir::IsStaticallyInBounds(*gep)) {
             ++report_.elided_bounds_checks;
             continue;
           }
@@ -596,18 +563,19 @@ class SafetyCompiler {
           if (options_.use_direct_bounds && size_it != static_sizes_.end()) {
             // The Figure 2 line-19 case: bounds known from the allocation,
             // no splay lookup needed.
-            Value* base_cast = CastToI8Ptr(b, gep->base());
+            Value* base_cast = CastToI8Ptr(module_, b, gep->base());
             Value* end = b.CreateGEP(base_cast,
                                      {module_.GetInt64(size_it->second)});
             module_.AnnotateValue(end, module_.MetapoolOf(gep->base()));
             inserted_values_.insert(end);
             b.CreateCall(direct,
-                         {base_cast, CastToI8Ptr(b, gep), end});
+                         {base_cast, CastToI8Ptr(module_, b, gep), end});
             ++report_.direct_bounds_checks;
           } else {
             b.CreateCall(boundscheck,
                          {HandleFor(module_.MetapoolOf(gep->base())),
-                          CastToI8Ptr(b, gep->base()), CastToI8Ptr(b, gep)});
+                          CastToI8Ptr(module_, b, gep->base()),
+                          CastToI8Ptr(module_, b, gep)});
             ++report_.bounds_checks;
           }
         }
@@ -668,7 +636,7 @@ class SafetyCompiler {
           IRBuilder b(module_);
           b.SetInsertPoint(bb.get(), bb->IndexOf(inst));
           b.CreateCall(lscheck, {HandleFor(module_.MetapoolOf(ptr)),
-                                 CastToI8Ptr(b, ptr)});
+                                 CastToI8Ptr(module_, b, ptr)});
           ++report_.ls_checks;
         }
       }
@@ -698,7 +666,7 @@ class SafetyCompiler {
       BasicBlock* bb = call->parent();
       IRBuilder b(module_);
       b.SetInsertPoint(bb, bb->IndexOf(call));
-      b.CreateCall(check, {CastToI8Ptr(b, call->callee()),
+      b.CreateCall(check, {CastToI8Ptr(module_, b, call->callee()),
                            module_.GetInt64(set_id)});
       ++report_.indirect_checks;
     }

@@ -16,6 +16,8 @@
 //   7. (optional) devirtualization of signature-asserted sites
 //   8. metapool type annotations on every pointer value, for the bytecode
 //      verifier (Section 5)
+//   9. check elimination over the instrumented code (check_elimination.h):
+//      monotonic loop ranges, loop-invariant hoisting, dominated duplicates
 //
 // The compiler is NOT in the trusted computing base: the type checker in
 // src/verifier re-validates its output.
@@ -27,6 +29,7 @@
 
 #include "src/analysis/config.h"
 #include "src/analysis/transforms.h"
+#include "src/safety/check_elimination.h"
 #include "src/support/status.h"
 #include "src/vir/module.h"
 
@@ -45,6 +48,8 @@ struct SafetyCompilerOptions {
   // Skip load-store checks on TH pools (core SAFECode optimization). Turning
   // this off measures the cost the partitioning strategy saves.
   bool elide_th_loadstore = true;
+  // Step 9; the verifier's rule R8 re-proves what it leaves.
+  CheckEliminationOptions elimination;
 };
 
 // Static instrumentation metrics; the Table 9 rows are derived from these.
@@ -74,6 +79,9 @@ struct SafetyReport {
   uint64_t elided_th_ls_checks = 0;
   uint64_t reduced_ls_checks = 0;  // Skipped on incomplete pools (I2).
   uint64_t indirect_checks = 0;
+  // What step 9 removed, hoisted and added. The counts above stay the
+  // checks instrumentation inserted (the Table 9 / Figure 2 quantities).
+  CheckEliminationReport eliminated;
 
   // Allocation-site coverage (Table 9, column 2).
   uint64_t allocation_sites = 0;

@@ -18,34 +18,13 @@ AddressSpace::AddressSpace(uint64_t size_bytes)
   }
 }
 
-Status AddressSpace::CheckRange(uint64_t addr, uint64_t len) const {
+Status AddressSpace::RangeFault(uint64_t addr) const {
   if (addr < kNullGuard) {
     return SafetyViolation(
         StrCat("hardware fault: null-page access at 0x", std::hex, addr));
   }
-  if (addr + len > size_ || addr + len < addr) {
-    return SafetyViolation(
-        StrCat("hardware fault: access beyond physical memory at 0x",
-               std::hex, addr));
-  }
-  return OkStatus();
-}
-
-Result<uint64_t> AddressSpace::Read(uint64_t addr, unsigned bytes) const {
-  SVA_RETURN_IF_ERROR(CheckRange(addr, bytes));
-  uint64_t v = 0;
-  for (unsigned i = 0; i < bytes; ++i) {
-    v |= static_cast<uint64_t>(bytes_[addr + i]) << (8 * i);
-  }
-  return v;
-}
-
-Status AddressSpace::Write(uint64_t addr, unsigned bytes, uint64_t value) {
-  SVA_RETURN_IF_ERROR(CheckRange(addr, bytes));
-  for (unsigned i = 0; i < bytes; ++i) {
-    bytes_[addr + i] = static_cast<uint8_t>(value >> (8 * i));
-  }
-  return OkStatus();
+  return SafetyViolation(StrCat(
+      "hardware fault: access beyond physical memory at 0x", std::hex, addr));
 }
 
 Result<double> AddressSpace::ReadF64(uint64_t addr) const {

@@ -11,7 +11,9 @@
 #ifndef SVA_SRC_SVM_ADDRESS_SPACE_H_
 #define SVA_SRC_SVM_ADDRESS_SPACE_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "src/runtime/pool_allocator.h"
 #include "src/support/status.h"
@@ -39,9 +41,23 @@ class AddressSpace {
   uint64_t kernel_base() const { return user_end(); }
 
   // Reads/writes an integer of 1/2/4/8 bytes, little-endian. Out-of-arena or
-  // null-page accesses fault (simulating a hardware trap).
-  Result<uint64_t> Read(uint64_t addr, unsigned bytes) const;
-  Status Write(uint64_t addr, unsigned bytes, uint64_t value);
+  // null-page accesses fault (simulating a hardware trap). Inline: both
+  // execution tiers make one call per guest load and store.
+  Result<uint64_t> Read(uint64_t addr, unsigned bytes) const {
+    if (!InRange(addr, bytes)) [[unlikely]] {
+      return RangeFault(addr);
+    }
+    uint64_t v = 0;
+    CopyWord(&v, bytes_ + addr, bytes);
+    return v;
+  }
+  Status Write(uint64_t addr, unsigned bytes, uint64_t value) {
+    if (!InRange(addr, bytes)) [[unlikely]] {
+      return RangeFault(addr);
+    }
+    CopyWord(bytes_ + addr, &value, bytes);
+    return OkStatus();
+  }
   Result<double> ReadF64(uint64_t addr) const;
   Status WriteF64(uint64_t addr, double value);
   Result<float> ReadF32(uint64_t addr) const;
@@ -70,7 +86,38 @@ class AddressSpace {
   Pages& pages() { return pages_; }
 
  private:
-  Status CheckRange(uint64_t addr, uint64_t len) const;
+  // The guest is little-endian, like every host this builds for, so a
+  // value's low `bytes` bytes are its first ones in memory.
+  static_assert(std::endian::native == std::endian::little);
+
+  bool InRange(uint64_t addr, uint64_t len) const {
+    return addr >= kNullGuard && addr + len <= size_ && addr + len >= addr;
+  }
+  // The fault an out-of-range access raises (kept out of line).
+  [[gnu::noinline, gnu::cold]] Status RangeFault(uint64_t addr) const;
+  Status CheckRange(uint64_t addr, uint64_t len) const {
+    return InRange(addr, len) ? OkStatus() : RangeFault(addr);
+  }
+  // Fixed-size copies compile to single moves.
+  static void CopyWord(void* dst, const void* src, unsigned bytes) {
+    switch (bytes) {
+      case 8:
+        std::memcpy(dst, src, 8);
+        break;
+      case 4:
+        std::memcpy(dst, src, 4);
+        break;
+      case 2:
+        std::memcpy(dst, src, 2);
+        break;
+      case 1:
+        std::memcpy(dst, src, 1);
+        break;
+      default:  // Odd widths; a value has no more than 8 bytes.
+        std::memcpy(dst, src, bytes < 8 ? bytes : 8);
+        break;
+    }
+  }
 
   ZeroFilledMap map_;
   uint8_t* bytes_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "src/support/strings.h"
@@ -641,15 +642,17 @@ class Decoder {
   }
 
   // Resolves pended edges: target op index plus the phi-elimination moves
-  // for the (pred, succ) pair.
+  // for the (pred, succ) pair, ordered so that running them one after
+  // another gives the simultaneous assignment SSA requires.
   Status LinkEdges() {
+    std::vector<Move> parallel;
     for (size_t i = 0; i < pending_.size(); ++i) {
       const auto& [from, to] = pending_[i];
       Edge& e = code_->edges[i];
       e.target = block_start_.at(to);
-      e.moves_start = static_cast<uint32_t>(code_->moves.size());
       size_t phis = phi_count_.at(to);
       e.phi_steps = static_cast<uint16_t>(phis);
+      parallel.clear();
       for (size_t k = 0; k < phis; ++k) {
         const auto* phi = static_cast<const vir::PhiInst*>(
             to->instructions()[k].get());
@@ -666,14 +669,85 @@ class Decoder {
           SVA_ASSIGN_OR_RETURN(mv.src, ISlotOf(in));
           mv.dst = islot_.at(phi);
         }
-        code_->moves.push_back(mv);
+        parallel.push_back(mv);
       }
-      e.moves_count = static_cast<uint16_t>(phis);
-      code_->max_edge_moves = std::max<size_t>(code_->max_edge_moves, phis);
+      e.moves_start = static_cast<uint32_t>(code_->moves.size());
+      Sequentialize(parallel);
+      e.moves_count =
+          static_cast<uint32_t>(code_->moves.size() - e.moves_start);
     }
     return OkStatus();
   }
 
+  // Appends `parallel` (distinct destinations) to code_->moves in an order
+  // where no move overwrites a slot a later move still reads. A move runs
+  // once no pending move reads its destination; when only cycles remain,
+  // one destination is saved in a temp slot (one per register file) and
+  // its readers read the temp instead, which opens the cycle. Linear in
+  // the number of moves: a block may carry up to kMaxPhisPerBlock phis.
+  void Sequentialize(std::vector<Move>& parallel) {
+    std::erase_if(parallel, [](const Move& m) { return m.src == m.dst; });
+    const size_t n = parallel.size();
+    if (n <= 1) {
+      code_->moves.insert(code_->moves.end(), parallel.begin(),
+                          parallel.end());
+      return;
+    }
+    auto key = [](uint32_t slot, bool is_float) {
+      return uint64_t{slot} << 1 | (is_float ? 1 : 0);
+    };
+    std::unordered_map<uint64_t, size_t> writer;
+    std::unordered_map<uint64_t, std::vector<size_t>> readers;
+    for (size_t k = 0; k < n; ++k) {
+      writer[key(parallel[k].dst, parallel[k].is_float)] = k;
+      readers[key(parallel[k].src, parallel[k].is_float)].push_back(k);
+    }
+    // Moves still to run that read move k's destination.
+    std::vector<size_t> blocked(n, 0);
+    std::vector<size_t> ready;
+    for (size_t k = 0; k < n; ++k) {
+      auto r = readers.find(key(parallel[k].dst, parallel[k].is_float));
+      blocked[k] = r == readers.end() ? 0 : r->second.size();
+      if (blocked[k] == 0) {
+        ready.push_back(k);
+      }
+    }
+    std::vector<bool> done(n, false);
+    size_t next = 0;
+    while (true) {
+      while (!ready.empty()) {
+        const size_t k = ready.back();
+        ready.pop_back();
+        code_->moves.push_back(parallel[k]);
+        done[k] = true;
+        auto w = writer.find(key(parallel[k].src, parallel[k].is_float));
+        if (w != writer.end() && !done[w->second] &&
+            --blocked[w->second] == 0) {
+          ready.push_back(w->second);
+        }
+      }
+      while (next < n && done[next]) {
+        ++next;
+      }
+      if (next == n) {
+        return;
+      }
+      // Only cycles remain.
+      Move& head = parallel[next];
+      uint32_t& temp = head.is_float ? ftemp_ : itemp_;
+      if (temp == kNoTemp) {
+        temp = head.is_float ? NewF() : NewI();
+      }
+      code_->moves.push_back({head.dst, temp, head.is_float});
+      for (size_t r : readers[key(head.dst, head.is_float)]) {
+        parallel[r].src = temp;
+      }
+      blocked[next] = 0;
+      ready.push_back(next);
+    }
+  }
+
+  static constexpr uint32_t kNoTemp = UINT32_MAX;
   const Interpreter& interp_;
   const Function& fn_;
   const bool enforce_checks_;
@@ -687,6 +761,9 @@ class Decoder {
   std::map<const BasicBlock*, uint32_t> block_start_;
   std::map<const BasicBlock*, size_t> phi_count_;
   std::vector<std::pair<const BasicBlock*, const BasicBlock*>> pending_;
+  // Cycle-breaking temps for phi moves, allocated on first need.
+  uint32_t itemp_ = kNoTemp;
+  uint32_t ftemp_ = kNoTemp;
 };
 
 }  // namespace
@@ -749,8 +826,6 @@ ExecResult ThreadedEngine::Execute(const ThreadedCode& code,
   uint64_t ops_executed = 0;
 
   // Scratch buffers reused across ops.
-  std::vector<uint64_t> iscratch(code.max_edge_moves);
-  std::vector<double> fscratch(code.max_edge_moves);
   std::vector<uint64_t> call_args;
   std::vector<double> call_fargs;
 
@@ -784,24 +859,15 @@ ExecResult ThreadedEngine::Execute(const ThreadedCode& code,
     }
     return site.pool;
   };
-  // Phi elimination, gather-then-scatter so a phi group reading each
-  // other's previous values (a swap) sees the simultaneous-assignment
-  // semantics SSA requires.
+  // Phi elimination: the edge's moves, already ordered at decode.
   auto take_edge = [&](uint32_t edge_idx) {
     const Edge& e = code.edges[edge_idx];
     const Move* mv = code.moves.data() + e.moves_start;
-    for (uint16_t k = 0; k < e.moves_count; ++k) {
+    for (uint32_t k = 0; k < e.moves_count; ++k) {
       if (mv[k].is_float) {
-        fscratch[k] = fregs[mv[k].src];
+        fregs[mv[k].dst] = fregs[mv[k].src];
       } else {
-        iscratch[k] = regs[mv[k].src];
-      }
-    }
-    for (uint16_t k = 0; k < e.moves_count; ++k) {
-      if (mv[k].is_float) {
-        fregs[mv[k].dst] = fscratch[k];
-      } else {
-        regs[mv[k].dst] = iscratch[k];
+        regs[mv[k].dst] = regs[mv[k].src];
       }
     }
     // Step parity: the interpreter charges one step per phi it retires.

@@ -100,12 +100,13 @@ struct Op {
 };
 
 // A CFG edge: jump target plus the phi-elimination moves to perform when
-// taking it. Moves are gather-then-scatter so mutually-referencing phi
-// groups (swaps) behave as the simultaneous assignment SSA requires.
+// taking it. The decoder orders the moves (with a temp slot for a cycle) so
+// that running them in sequence gives the simultaneous assignment SSA
+// requires, swaps and rotations included.
 struct Edge {
   uint32_t target = 0;       // Op index of the target block's first op.
   uint32_t moves_start = 0;  // Into ThreadedCode::moves.
-  uint16_t moves_count = 0;
+  uint32_t moves_count = 0;
   // Step-count parity with the interpreter, which charges one step per phi
   // instruction it retires at the head of the target block.
   uint16_t phi_steps = 0;
@@ -185,7 +186,6 @@ struct ThreadedCode {
     bool is_float = false;
   };
   std::vector<ArgBind> arg_binds;
-  size_t max_edge_moves = 0;  // Scratch sizing for gather/scatter.
 };
 
 // Owns the per-function code cache and the dispatch loop. One engine per

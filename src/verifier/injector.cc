@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/support/strings.h"
+#include "src/vir/check_analysis.h"
 #include "src/vir/instructions.h"
 #include "src/vir/intrinsics.h"
 
@@ -28,6 +29,8 @@ const char* BugKindName(BugKind kind) {
       return "incorrect-type-homogeneity";
     case BugKind::kInsufficientMerging:
       return "insufficient-node-merging";
+    case BugKind::kDroppedCheck:
+      return "dropped-run-time-check";
   }
   return "unknown";
 }
@@ -209,6 +212,30 @@ Status InjectInsufficientMerging(Module& module, uint64_t seed) {
   return OkStatus();
 }
 
+Status InjectDroppedCheck(Module& module, uint64_t seed) {
+  std::vector<const Instruction*> candidates;
+  for (const auto& fn : module.functions()) {
+    for (const auto& bb : fn->blocks()) {
+      for (const auto& inst : bb->instructions()) {
+        vir::Intrinsic which = vir::IntrinsicOf(*inst);
+        if (which == vir::Intrinsic::kBoundsCheck ||
+            which == vir::Intrinsic::kBoundsCheckDirect ||
+            which == vir::Intrinsic::kLSCheck ||
+            which == vir::Intrinsic::kIndirectCheck) {
+          candidates.push_back(inst.get());
+        }
+      }
+    }
+  }
+  if (candidates.empty()) {
+    return NotFound("no run-time check to drop");
+  }
+  // Spread the seeds over the module rather than over one function.
+  const Instruction* victim = candidates[(seed * 7919) % candidates.size()];
+  victim->parent()->Remove(victim);
+  return OkStatus();
+}
+
 }  // namespace
 
 Status InjectBug(Module& module, BugKind kind, uint64_t seed) {
@@ -221,6 +248,8 @@ Status InjectBug(Module& module, BugKind kind, uint64_t seed) {
       return InjectFalseTH(module, seed);
     case BugKind::kInsufficientMerging:
       return InjectInsufficientMerging(module, seed);
+    case BugKind::kDroppedCheck:
+      return InjectDroppedCheck(module, seed);
   }
   return InvalidArgument("unknown bug kind");
 }

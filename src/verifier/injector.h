@@ -3,7 +3,8 @@
 // results and showed the bytecode verifier catches all of them. The four
 // kinds mirror the paper's: incorrect variable aliasing, incorrect
 // inter-node edges, incorrect claims of type homogeneity, and insufficient
-// merging of points-to graph nodes.
+// merging of points-to graph nodes. A fifth kind, a dropped run-time check,
+// models a bug in check insertion or elimination (caught by rule R8).
 #ifndef SVA_SRC_VERIFIER_INJECTOR_H_
 #define SVA_SRC_VERIFIER_INJECTOR_H_
 
@@ -19,6 +20,7 @@ enum class BugKind {
   kWrongEdge,             // A points-to edge bent to the wrong partition.
   kFalseTypeHomogeneity,  // A non-TH pool claimed TH with a bogus type.
   kInsufficientMerging,   // A partition split that should have merged.
+  kDroppedCheck,          // One bounds, load-store or indirect check deleted.
 };
 
 const char* BugKindName(BugKind kind);

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "src/support/strings.h"
+#include "src/verifier/coverage.h"
 #include "src/vir/instructions.h"
 #include "src/vir/intrinsics.h"
 
@@ -49,6 +50,13 @@ class TypeChecker {
           }
           CheckInstruction(*inst);
         }
+      }
+      // R8 applies once a safety compiler has partitioned the module.
+      if (!module_.metapools().empty() &&
+          (result_.ok || options_.collect_all)) {
+        CheckCoverage(module_, *fn, [this](std::string msg) {
+          Error(std::move(msg));
+        });
       }
     }
     return result_;

@@ -22,10 +22,20 @@
 //   (R7) information flow (the Section 9 extension): a pointer into a
 //        `classified` metapool may not be stored into an object of an
 //        unclassified metapool — higher-level security policy encoded
-//        compactly as a type qualifier, checked with the same local rules.
+//        compactly as a type qualifier, checked with the same local rules;
+//   (R8) the run-time checks are present (coverage.h): every unproven
+//        getelementptr use is dominated by a bounds check on it, every
+//        load/store through a complete non-TH pool by a load-store (or
+//        splay bounds) check on its pointer with no object release in
+//        between, and every indirect call by an indirect-call check — or
+//        the access lies in a counted loop whose preheader range-checks
+//        all of it. With R8, neither check insertion nor the
+//        check-elimination pass is trusted.
 //
-// Like the paper's checker, the rules need only the operands of each
-// instruction; the checker is small, fast, and independent of the analysis.
+// Like the paper's checker, R1-R7 need only the operands of each
+// instruction; R8 looks no further than one function's dominator tree and
+// the loops in it. The checker is small, fast, and independent of the
+// analysis.
 #ifndef SVA_SRC_VERIFIER_TYPECHECKER_H_
 #define SVA_SRC_VERIFIER_TYPECHECKER_H_
 
@@ -48,7 +58,7 @@ struct TypeCheckResult {
 };
 
 // Runs the metapool type checker over the module. A module that was never
-// processed by the safety compiler (no annotations) passes trivially.
+// processed by the safety compiler (no metapools) passes trivially.
 TypeCheckResult TypeCheckModule(const vir::Module& module,
                                 const TypeCheckOptions& options = {});
 

@@ -1,5 +1,8 @@
 #include "src/vir/bytecode.h"
 
+#include <algorithm>
+#include <unordered_map>
+
 #include <cstring>
 #include <map>
 
@@ -165,7 +168,7 @@ class TypeTable {
     return idx;
   }
 
-  std::map<const Type*, uint32_t> index_;
+  std::unordered_map<const Type*, uint32_t> index_;
   std::vector<const Type*> order_;
 };
 
@@ -523,8 +526,8 @@ class Writer {
   const Module& module_;
   ByteWriter w_;
   TypeTable types_;
-  std::map<const Value*, uint64_t> local_ids_;
-  std::map<const BasicBlock*, uint64_t> block_ids_;
+  std::unordered_map<const Value*, uint64_t> local_ids_;
+  std::unordered_map<const BasicBlock*, uint64_t> block_ids_;
 };
 
 // --- Reader ------------------------------------------------------------------
@@ -758,9 +761,8 @@ class Reader {
         SVA_ASSIGN_OR_RETURN(out.id, r_.VarU64());
         SVA_ASSIGN_OR_RETURN(uint64_t ti, r_.VarU64());
         SVA_ASSIGN_OR_RETURN(out.type, TypeAt(ti));
-        auto it = locals_.find(out.id);
-        if (it != locals_.end()) {
-          out.value = it->second;
+        if (Value* local = Local(out.id)) {
+          out.value = local;
         } else {
           out.forward = true;
           out.value = module_->GetUndef(out.type);
@@ -848,7 +850,7 @@ class Reader {
       if (!mp.empty()) {
         module_->AnnotateValue(fn->arg(i), mp);
       }
-      locals_[next_id++] = fn->arg(i);
+      Define(next_id, fn->arg(i));
     }
     SVA_ASSIGN_OR_RETURN(uint64_t nblocks, r_.VarU64());
     std::vector<uint64_t> block_sizes;
@@ -873,15 +875,15 @@ class Reader {
     }
     (void)block_sizes;
     for (const LocalFixup& fx : fixups) {
-      auto it = locals_.find(fx.id);
-      if (it == locals_.end()) {
+      Value* local = Local(fx.id);
+      if (local == nullptr) {
         return ParseError("unresolved forward local reference");
       }
       if (fx.phi_index >= 0) {
         static_cast<PhiInst*>(fx.inst)->set_incoming_value(
-            static_cast<size_t>(fx.phi_index), it->second);
+            static_cast<size_t>(fx.phi_index), local);
       } else {
-        fx.inst->set_operand(fx.operand_index, it->second);
+        fx.inst->set_operand(fx.operand_index, local);
       }
     }
     return OkStatus();
@@ -1155,7 +1157,7 @@ class Reader {
     }
 
     Instruction* inst = bb->back();
-    locals_[next_id++] = inst;
+    Define(next_id, inst);
     if (!mp.empty()) {
       module_->AnnotateValue(inst, mp);
     }
@@ -1169,7 +1171,17 @@ class Reader {
   ByteReader r_;
   std::unique_ptr<Module> module_;
   std::vector<const Type*> type_table_;
-  std::map<uint64_t, Value*> locals_;
+  // Function-local values by id; ids are dense, in definition order.
+  Value* Local(uint64_t id) const {
+    return id < locals_.size() ? locals_[id] : nullptr;
+  }
+  void Define(uint64_t& next_id, Value* v) {
+    if (locals_.size() <= next_id) {
+      locals_.resize(next_id + 1, nullptr);
+    }
+    locals_[next_id++] = v;
+  }
+  std::vector<Value*> locals_;
   std::vector<BasicBlock*> block_list_;
 };
 
@@ -1183,6 +1195,11 @@ std::vector<uint8_t> WriteBytecode(const Module& module) {
 Result<std::unique_ptr<Module>> ReadBytecode(const std::vector<uint8_t>& data) {
   Reader reader(data);
   return reader.Read();
+}
+
+bool IsBytecode(const std::vector<uint8_t>& data) {
+  return data.size() >= sizeof(kMagic) &&
+         std::equal(std::begin(kMagic), std::end(kMagic), data.begin());
 }
 
 uint64_t DigestBytes(const std::vector<uint8_t>& data) {

@@ -20,6 +20,9 @@ std::vector<uint8_t> WriteBytecode(const Module& module);
 // should run VerifyModule and the metapool type checker afterwards.
 Result<std::unique_ptr<Module>> ReadBytecode(const std::vector<uint8_t>& data);
 
+// True if `data` starts with the bytecode magic.
+bool IsBytecode(const std::vector<uint8_t>& data);
+
 // A stable 64-bit FNV-1a digest of arbitrary bytes, used by the SVM native
 // code cache to "sign" bytecode/translation pairs (stand-in for the
 // cryptographic signature of Section 3.4).

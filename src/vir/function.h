@@ -54,6 +54,10 @@ class BasicBlock {
   std::unique_ptr<Instruction> ReplaceAt(size_t index,
                                          std::unique_ptr<Instruction> inst);
 
+  // Unlinks `inst` from this block and returns it (used by the check
+  // elimination pass to delete or move checks). Callers fix up uses.
+  std::unique_ptr<Instruction> Remove(const Instruction* inst);
+
   // Successor blocks per the terminator.
   std::vector<BasicBlock*> Successors() const;
 

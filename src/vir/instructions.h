@@ -322,6 +322,9 @@ class PhiInst : public Instruction {
   Value* incoming_value(size_t i) const { return incoming_values_[i]; }
   void set_incoming_value(size_t i, Value* v) { incoming_values_[i] = v; }
   BasicBlock* incoming_block(size_t i) const { return incoming_blocks_[i]; }
+  void set_incoming_block(size_t i, BasicBlock* bb) {
+    incoming_blocks_[i] = bb;
+  }
 
   // Returns the incoming value for `pred`, or nullptr.
   Value* ValueForBlock(const BasicBlock* pred) const;
@@ -356,6 +359,7 @@ class BranchInst : public Instruction {
   Value* condition() const { return operand(0); }
   size_t num_targets() const { return targets_.size(); }
   BasicBlock* target(size_t i) const { return targets_[i]; }
+  void set_target(size_t i, BasicBlock* bb) { targets_[i] = bb; }
 
  private:
   std::vector<BasicBlock*> targets_;

@@ -128,6 +128,14 @@ std::unique_ptr<Instruction> BasicBlock::ReplaceAt(
   return old;
 }
 
+std::unique_ptr<Instruction> BasicBlock::Remove(const Instruction* inst) {
+  auto it = instructions_.begin() + static_cast<ptrdiff_t>(IndexOf(inst));
+  std::unique_ptr<Instruction> out = std::move(*it);
+  instructions_.erase(it);
+  out->set_parent(nullptr);
+  return out;
+}
+
 size_t BasicBlock::IndexOf(const Instruction* inst) const {
   for (size_t i = 0; i < instructions_.size(); ++i) {
     if (instructions_[i].get() == inst) {

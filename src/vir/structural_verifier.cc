@@ -8,9 +8,7 @@
 #include "src/vir/instructions.h"
 
 namespace sva::vir {
-namespace {
 
-// Reverse post-order over reachable blocks.
 std::vector<const BasicBlock*> ReversePostOrder(const Function& fn) {
   std::vector<const BasicBlock*> order;
   std::set<const BasicBlock*> visited;
@@ -38,6 +36,8 @@ std::vector<const BasicBlock*> ReversePostOrder(const Function& fn) {
   order.assign(post.rbegin(), post.rend());
   return order;
 }
+
+namespace {
 
 // True if a cast's source and result types are of the classes its opcode
 // converts between. Floats only enter or leave through sitofp/fptosi.

@@ -45,6 +45,9 @@ Status VerifyFunction(const Module& module, const Function& fn);
 // Verifies every defined function in the module.
 Status VerifyModule(const Module& module);
 
+// Reachable blocks in reverse post-order: every block after its dominators.
+std::vector<const BasicBlock*> ReversePostOrder(const Function& fn);
+
 // Predecessor map of a function's CFG (utility shared with analyses).
 std::map<const BasicBlock*, std::vector<const BasicBlock*>> PredecessorMap(
     const Function& fn);

@@ -323,6 +323,139 @@ TEST(SafetyCompilerTest, MetricsArePopulated) {
   EXPECT_EQ(p.report.allocation_sites_registered, 1u);
 }
 
+// --- Check elimination ---------------------------------------------------------
+
+// A byte loop over a kmalloc'd buffer (monotonic range) that also bumps a
+// non-TH global each iteration (loop-invariant load-store checks, one a
+// duplicate of the other once both sit in the preheader).
+constexpr const char* kCountedLoop = R"(
+module "elim"
+declare i8* @kmalloc(i64)
+declare void @kfree(i8*)
+global @ticks : i64
+
+define i64 @sum(i8* %buf, i64 %len) {
+entry:
+  %zero = icmp eq i64 %len, 0
+  br i1 %zero, label %done, label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i2, %loop ]
+  %acc = phi i64 [ 0, %entry ], [ %acc2, %loop ]
+  %slot = getelementptr i8* %buf, i64 %i
+  %v = load i8, i8* %slot
+  %v64 = zext i8 %v to i64
+  %acc2 = add i64 %acc, %v64
+  %t = load i64, i64* @ticks
+  %t2 = add i64 %t, 1
+  store i64 %t2, i64* @ticks
+  %i2 = add i64 %i, 1
+  %more = icmp ult i64 %i2, %len
+  br i1 %more, label %loop, label %done
+done:
+  %r = phi i64 [ 0, %entry ], [ %acc2, %loop ]
+  ret i64 %r
+}
+
+define i64 @run(i64 %len) {
+entry:
+  %tb = bitcast i64* @ticks to i8*
+  store i8 0, i8* %tb
+  %buf = call i8* @kmalloc(i64 64)
+  %r = call i64 @sum(i8* %buf, i64 %len)
+  call void @kfree(i8* %buf)
+  %t = load i64, i64* @ticks
+  ret i64 %t
+}
+
+define i64 @run_mid(i64 %len) {
+entry:
+  %buf = call i8* @kmalloc(i64 64)
+  %mid = getelementptr i8* %buf, i64 16
+  %r = call i64 @sum(i8* %mid, i64 %len)
+  call void @kfree(i8* %buf)
+  ret i64 %r
+}
+)";
+
+SafetyCompilerOptions WholeProgram(bool eliminate) {
+  SafetyCompilerOptions options;
+  options.analysis.whole_program = true;
+  options.analysis.entry_points = {"run", "run_mid"};
+  options.run_cloning = false;  // One @sum for both callers.
+  if (!eliminate) {
+    options.elimination = {false, false, false};
+  }
+  return options;
+}
+
+// Bounds checks `run(len)` performs, or -1 if it does not return `len`.
+int64_t BoundsChecksOf(Pipeline& p, uint64_t len) {
+  const uint64_t before = p.loaded->pools().stats().bounds_performed;
+  svm::ExecResult r = p.loaded->Run("run", {len});
+  if (!r.status.ok() || r.value != len) {
+    return -1;
+  }
+  return static_cast<int64_t>(p.loaded->pools().stats().bounds_performed -
+                              before);
+}
+
+TEST(CheckEliminationTest, EachStepFiresOnACountedLoop) {
+  Pipeline p(kCountedLoop, WholeProgram(true));
+  const CheckEliminationReport& e = p.report.eliminated;
+  EXPECT_EQ(e.range_covered, 1u);  // The per-byte bounds check.
+  EXPECT_EQ(e.range_checks, 2u);   // Its splay check and order guard.
+  EXPECT_EQ(e.hoisted, 2u);        // The @ticks load and store checks.
+  EXPECT_EQ(e.duplicates, 1u);     // One of the two, once hoisted.
+  // The inserted counts keep their meaning.
+  EXPECT_EQ(p.report.bounds_checks, 1u);
+  EXPECT_EQ(p.report.ls_checks, 4u);
+  verifier::TypeCheckResult typed =
+      verifier::TypeCheckModule(p.loaded->module());
+  EXPECT_TRUE(typed.ok) << (typed.errors.empty() ? "" : typed.errors[0]);
+}
+
+TEST(CheckEliminationTest, RangeCheckRunsOncePerLoopEntry) {
+  Pipeline elim(kCountedLoop, WholeProgram(true));
+  Pipeline full(kCountedLoop, WholeProgram(false));
+  EXPECT_EQ(full.report.eliminated.range_covered +
+                full.report.eliminated.hoisted +
+                full.report.eliminated.duplicates,
+            0u);
+  EXPECT_EQ(BoundsChecksOf(full, 64), 64);
+  EXPECT_EQ(BoundsChecksOf(elim, 64), 2);
+  EXPECT_EQ(BoundsChecksOf(elim, 1), 2);
+  // The zero-trip guard branches around the split-off preheader.
+  EXPECT_EQ(BoundsChecksOf(elim, 0), 0);
+}
+
+TEST(CheckEliminationTest, OverrunTrapsBeforeTheLoop) {
+  Pipeline elim(kCountedLoop, WholeProgram(true));
+  Pipeline full(kCountedLoop, WholeProgram(false));
+  for (uint64_t len : {65u, 4096u}) {
+    svm::ExecResult a = elim.loaded->Run("run", {len});
+    svm::ExecResult b = full.loaded->Run("run", {len});
+    EXPECT_EQ(a.status.code(), StatusCode::kSafetyViolation) << len;
+    EXPECT_EQ(b.status.code(), StatusCode::kSafetyViolation) << len;
+    // The range check fires before the first iteration; the per-byte
+    // check only once the loop reaches byte 64.
+    EXPECT_LT(a.steps, b.steps) << len;
+  }
+  EXPECT_EQ(elim.loaded->pools().stats().bounds_failed, 2u);
+}
+
+TEST(CheckEliminationTest, ALengthThatWrapsTheAddressSpaceTraps) {
+  // From 16 bytes into the buffer, base + (len - 1) wraps to 6 bytes
+  // below base, still inside the object, so the splay check passes; the
+  // order guard (base <= last) is what stops the loop.
+  Pipeline elim(kCountedLoop, WholeProgram(true));
+  svm::ExecResult r = elim.loaded->Run("run_mid", {~uint64_t{0} - 4});
+  EXPECT_EQ(r.status.code(), StatusCode::kSafetyViolation);
+  EXPECT_NE(r.status.message().find("outside static bounds"),
+            std::string::npos)
+      << r.status.ToString();
+  EXPECT_TRUE(elim.loaded->Run("run_mid", {48}).status.ok());
+}
+
 TEST(SafetyCompilerTest, SvmCachesSignedTranslations) {
   auto module = Parse(kHeapOverflow);
   auto r = RunSafetyCompiler(*module);

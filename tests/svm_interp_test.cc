@@ -551,6 +551,31 @@ TEST(AddressSpaceTest, ArenaIsLazilyZeroFilled) {
   EXPECT_EQ(*space.Read(region, 8), 0u);
 }
 
+TEST(AddressSpaceTest, WordsAreLittleEndianAndFaultsAreExact) {
+  AddressSpace space(1 << 20);
+  const uint64_t at = space.kernel_base();
+  ASSERT_TRUE(space.Write(at, 8, 0x1122334455667788ull).ok());
+  EXPECT_EQ(*space.Read(at, 1), 0x88u);
+  EXPECT_EQ(*space.Read(at, 2), 0x7788u);
+  EXPECT_EQ(*space.Read(at, 4), 0x55667788u);
+  EXPECT_EQ(*space.Read(at + 4, 4), 0x11223344u);
+  EXPECT_EQ(*space.Read(at + 1, 8), 0x0011223344556677ull);
+  ASSERT_TRUE(space.Write(at + 2, 2, 0xABCD).ok());
+  EXPECT_EQ(*space.Read(at, 8), 0x11223344ABCD7788ull);
+  // The last byte is accessible; one byte more is not, and neither is the
+  // null page or an access whose end wraps around.
+  EXPECT_TRUE(space.Write(space.size() - 1, 1, 7).ok());
+  EXPECT_EQ(*space.Read(space.size() - 1, 1), 7u);
+  Status beyond = space.Write(space.size() - 1, 2, 0);
+  EXPECT_EQ(beyond.code(), StatusCode::kSafetyViolation);
+  EXPECT_NE(beyond.message().find("beyond physical memory"),
+            std::string::npos);
+  Status null = space.Read(8, 8).status();
+  EXPECT_NE(null.message().find("null-page access at 0x8"), std::string::npos)
+      << null.ToString();
+  EXPECT_FALSE(space.Read(~uint64_t{0} - 3, 8).ok());
+}
+
 TEST(AddressSpaceTest, ArenaThatCannotBeMappedFailsConstruction) {
   EXPECT_THROW(AddressSpace(uint64_t{1} << 62), std::bad_alloc);
 }

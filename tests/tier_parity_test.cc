@@ -237,6 +237,76 @@ TEST(TierParity, GeneratedPhiLoops) {
   }
 }
 
+// Phi groups that read each other on one edge: the decoder orders the moves
+// and breaks each cycle through a temp slot, which must give the
+// simultaneous assignment the interpreter performs.
+TEST(TierParity, PhiSwapOnOneEdge) {
+  const char* text = R"(
+module "swap"
+define i64 @f(i64 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i2, %loop ]
+  %a = phi i64 [ 1, %entry ], [ %b, %loop ]
+  %b = phi i64 [ 2, %entry ], [ %a, %loop ]
+  %fa = phi f64 [ 0.5, %entry ], [ %fb, %loop ]
+  %fb = phi f64 [ 4.0, %entry ], [ %fa, %loop ]
+  %i2 = add i64 %i, 1
+  %more = icmp ult i64 %i2, %n
+  br i1 %more, label %loop, label %done
+done:
+  %ab = mul i64 %a, 10
+  %r = add i64 %ab, %b
+  %fr = fmul f64 %fa, 100.0
+  %fi = fptosi f64 %fr to i64
+  %out = mul i64 %r, 1000
+  %all = add i64 %out, %fi
+  ret i64 %all
+}
+)";
+  // After n iterations the pairs have swapped n - 1 times.
+  EXPECT_EQ(RunOnTier(text, "f", {1}, ExecTier::kThreaded).value, 12050u);
+  EXPECT_EQ(RunOnTier(text, "f", {2}, ExecTier::kThreaded).value, 21400u);
+  for (uint64_t n : {1, 2, 3, 8}) {
+    ExpectParity(text, "f", {n}, StrCat("phi swap, n = ", n));
+  }
+}
+
+TEST(TierParity, PhiThreeCycleRotationOnOneEdge) {
+  const char* text = R"(
+module "rotate"
+define i64 @f(i64 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i2, %loop ]
+  %x = phi i64 [ 1, %entry ], [ %y, %loop ]
+  %y = phi i64 [ 2, %entry ], [ %z, %loop ]
+  %z = phi i64 [ 3, %entry ], [ %x, %loop ]
+  %w = phi i64 [ 0, %entry ], [ %x, %loop ]
+  %i2 = add i64 %i, 1
+  %more = icmp ult i64 %i2, %n
+  br i1 %more, label %loop, label %done
+done:
+  %x100 = mul i64 %x, 1000
+  %y10 = mul i64 %y, 100
+  %z1 = mul i64 %z, 10
+  %s1 = add i64 %x100, %y10
+  %s2 = add i64 %s1, %z1
+  %s3 = add i64 %s2, %w
+  ret i64 %s3
+}
+)";
+  // (x, y, z) rotates left once per back edge; w copies the old x.
+  EXPECT_EQ(RunOnTier(text, "f", {1}, ExecTier::kThreaded).value, 1230u);
+  EXPECT_EQ(RunOnTier(text, "f", {2}, ExecTier::kThreaded).value, 2311u);
+  EXPECT_EQ(RunOnTier(text, "f", {3}, ExecTier::kThreaded).value, 3122u);
+  for (uint64_t n : {1, 2, 3, 4, 7}) {
+    ExpectParity(text, "f", {n}, StrCat("phi rotation, n = ", n));
+  }
+}
+
 // --- Handwritten arithmetic edges --------------------------------------------
 
 std::string BinProgram(const std::string& op, unsigned bits) {

@@ -16,6 +16,9 @@
 //   --whole-program    entire-kernel analysis (no incompleteness)
 //   --entry NAME       add a syscall-style entry point (repeatable)
 //   --report           print the instrumentation report
+//   --verify-only      the input is already instrumented (as --emit-text
+//                      prints it): skip the safety compiler and only
+//                      verify it, the type checker's rules R1-R8 included
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -57,6 +60,12 @@ void PrintReport(const sva::safety::SafetyReport& r) {
               static_cast<unsigned long long>(r.reduced_ls_checks));
   std::printf("indirect call checks: %llu\n",
               static_cast<unsigned long long>(r.indirect_checks));
+  std::printf("eliminated checks:    %llu in loops (+%llu range checks), "
+              "%llu hoisted, %llu duplicates\n",
+              static_cast<unsigned long long>(r.eliminated.range_covered),
+              static_cast<unsigned long long>(r.eliminated.range_checks),
+              static_cast<unsigned long long>(r.eliminated.hoisted),
+              static_cast<unsigned long long>(r.eliminated.duplicates));
   std::printf("stack promotions:     %llu\n",
               static_cast<unsigned long long>(r.stack_promotions));
 }
@@ -68,6 +77,7 @@ int main(int argc, char** argv) {
   std::string output;
   bool emit_text = false;
   bool report = false;
+  bool verify_only = false;
   sva::safety::SafetyCompilerOptions options;
 
   for (int i = 1; i < argc; ++i) {
@@ -88,11 +98,14 @@ int main(int argc, char** argv) {
       options.analysis.entry_points.push_back(argv[++i]);
     } else if (arg == "--report") {
       report = true;
+    } else if (arg == "--verify-only") {
+      verify_only = true;
     } else if (arg == "--help" || arg == "-h") {
       std::printf("usage: sva-cc input.sva -o output.svb "
                   "[--emit-text] [--report]\n"
                   "       [--no-cloning] [--no-devirt] [--no-static-elide]\n"
-                  "       [--whole-program] [--entry NAME]...\n");
+                  "       [--whole-program] [--entry NAME]... "
+                  "[--verify-only]\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       return Fail("unknown option " + arg);
@@ -123,9 +136,13 @@ int main(int argc, char** argv) {
   if (!module.ok()) {
     return Fail(module.status().ToString());
   }
-  auto compile = sva::safety::RunSafetyCompiler(**module, options);
-  if (!compile.ok()) {
-    return Fail(compile.status().ToString());
+  sva::safety::SafetyReport compiled;
+  if (!verify_only) {
+    auto compile = sva::safety::RunSafetyCompiler(**module, options);
+    if (!compile.ok()) {
+      return Fail(compile.status().ToString());
+    }
+    compiled = *compile;
   }
   if (sva::Status s = sva::vir::VerifyModule(**module); !s.ok()) {
     return Fail("post-compile verification failed: " + s.ToString());
@@ -133,8 +150,8 @@ int main(int argc, char** argv) {
   if (sva::Status s = sva::verifier::TypeCheckOrError(**module); !s.ok()) {
     return Fail("metapool type check failed: " + s.ToString());
   }
-  if (report) {
-    PrintReport(*compile);
+  if (report && !verify_only) {
+    PrintReport(compiled);
   }
   if (emit_text) {
     std::printf("%s", sva::vir::PrintModule(**module).c_str());

@@ -2,7 +2,7 @@
 // an entry point with the run-time checks live.
 //
 // Usage:
-//   svm-run module.svb [--entry NAME] [--arg N]... [--no-checks] [--stats]
+//   svm-run module.svb|module.sva [--entry NAME] [--arg N]... [--no-checks] [--stats]
 //           [--cpus N] [--tier interp|threaded]
 //
 // --tier selects the execution engine (default threaded); both tiers share
@@ -13,6 +13,10 @@
 // virtual CPU, and requires every replica to reach the same result — the
 // detection-parity harness for the SMP runtime (concurrency must never
 // change what the checks catch).
+//
+// A textual module (an instrumented one, as `sva-cc --emit-text` prints it)
+// is serialized and then loaded exactly like bytecode: verified and
+// type-checked, rules R1-R8 included, before anything runs.
 //
 // Exit status: 0 on clean execution, 2 on a safety violation, 1 on other
 // errors — usable from scripts and CI.
@@ -34,6 +38,7 @@
 #include "src/trace/profiler.h"
 #include "src/trace/trace.h"
 #include "src/vir/bytecode.h"
+#include "src/vir/parser.h"
 
 namespace {
 
@@ -116,6 +121,13 @@ int main(int argc, char** argv) {
   }
   std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
+  if (!sva::vir::IsBytecode(bytes)) {
+    auto parsed = sva::vir::ParseModule(std::string(bytes.begin(), bytes.end()));
+    if (!parsed.ok()) {
+      return Fail(parsed.status().ToString());
+    }
+    bytes = sva::vir::WriteBytecode(**parsed);
+  }
 
   // One VM replica per virtual CPU. cpus == 1 is the plain single-VM path;
   // cpus > 1 runs every replica on its own worker thread and then insists
